@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/column_summary.h"
 #include "util/string_util.h"
 
 namespace jigsaw {
@@ -62,39 +63,14 @@ std::string OutputMetrics::ToString() const {
 }
 
 OutputMetrics Estimator::Finalize() const {
-  OutputMetrics out;
-  out.count = acc_.count();
-  out.mean = acc_.mean();
-  out.stddev = acc_.stddev();
-  out.std_error = acc_.standard_error();
-  out.min = acc_.count() ? acc_.min() : 0.0;
-  out.max = acc_.count() ? acc_.max() : 0.0;
-  if (!all_.empty()) {
-    // Quantiles are taken over the finite mass: NaNs break selection's
-    // strict weak ordering, and the histogram drops them anyway.
-    // QuantileSelect returns the same bits a full sort would; at millions
-    // of folded tuples the O(n log n) sort, not the fold, used to
-    // dominate finalization.
-    std::vector<double> finite;
-    finite.reserve(all_.size());
-    for (double x : all_) {
-      if (std::isfinite(x)) finite.push_back(x);
-    }
-    if (!finite.empty()) {
-      out.p50 = QuantileSelect(finite, 0.50);
-      out.p95 = QuantileSelect(finite, 0.95);
-    }
-    out.histogram = Histogram::FromSamples(all_, histogram_bins_);
-  }
-  if (keep_samples_) out.samples = all_;
-  return out;
+  const std::span<const double> all(all_);
+  return SummarizeColumn({&all, 1}, keep_samples_, histogram_bins_);
 }
 
 OutputMetrics MetricsFromSamples(const std::vector<double>& samples,
                                  bool keep_samples, int histogram_bins) {
-  Estimator est(keep_samples, histogram_bins);
-  est.AddSpan(samples);
-  return est.Finalize();
+  const std::span<const double> all(samples);
+  return SummarizeColumn({&all, 1}, keep_samples, histogram_bins);
 }
 
 }  // namespace jigsaw

@@ -52,37 +52,34 @@ bool CanMapMetrics(const MappingFunction& m, bool has_samples);
 
 /// Streaming estimator used by both the naive path and the fingerprint
 /// path (fingerprint samples are the first m simulation rounds and feed
-/// the same accumulator). Moments stream through a Welford accumulator;
-/// whole sample batches fold via AddSpan, which is bit-identical to
-/// element-wise Add — the batched engine's correctness contract.
+/// the same accumulator). Samples are buffered in arrival order and
+/// summarized at Finalize by the column-summary kernel
+/// (core/column_summary.h): Welford moments fold in that order, so AddSpan
+/// is bit-identical to element-wise Add — the batched engine's
+/// correctness contract.
 class Estimator {
  public:
   explicit Estimator(bool keep_samples = false, int histogram_bins = 20)
       : keep_samples_(keep_samples), histogram_bins_(histogram_bins) {}
 
-  void Add(double x) {
-    acc_.Add(x);
-    all_.push_back(x);
-  }
+  void Add(double x) { all_.push_back(x); }
 
   /// Folds a whole batch in index order (same result, bit-for-bit, as
   /// adding each element individually).
   void AddSpan(std::span<const double> xs) {
-    acc_.AddSpan(xs);
     all_.insert(all_.end(), xs.begin(), xs.end());
   }
 
-  std::int64_t count() const { return acc_.count(); }
+  std::int64_t count() const { return static_cast<std::int64_t>(all_.size()); }
 
   /// Finalizes metrics over everything added so far.
   OutputMetrics Finalize() const;
 
  private:
-  WelfordAccumulator acc_;
   bool keep_samples_;
   int histogram_bins_;
-  // Kept internally for quantiles/histogram; copied into the result only
-  // when keep_samples_ is set.
+  // Every sample, in arrival order; copied into the result only when
+  // keep_samples_ is set.
   std::vector<double> all_;
 };
 

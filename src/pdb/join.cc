@@ -472,153 +472,93 @@ Result<std::map<std::string, OutputMetrics>> FoldJoinedVGColumns(
     slots.push_back(idx);
   }
 
-  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
-  const std::size_t num_chunks =
-      num_worlds == 0 ? 0 : (num_worlds + batch - 1) / batch;
-  std::vector<Estimator> estimators(
-      slots.size(), Estimator(config.keep_samples, config.histogram_bins));
-
   if (config.columnar_storage) {
-    // Shard-ownership rule: cell `chunk` is the only writer of its
+    // Shard-ownership rule: a chunk's task is the only writer of its
     // joined extent. Realization interleaves left/right per world so a
     // generator failure surfaces in the order the serial boxed loop
     // would hit it (world-major, left side first).
-    struct Cell {
-      WorldExtent joined;
-      Status status = Status::OK();
-    };
-    std::vector<Cell> cells(num_chunks);
-    auto run_cell = [&](std::size_t chunk) {
-      Cell& cell = cells[chunk];
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
-      if (cache != nullptr) {
-        for (std::size_t w = begin; w < end; ++w) {
-          auto lt = cache->GetOrGenerateColumnar(*left, w, seeds);
-          if (!lt.ok()) {
-            cell.status = lt.status();
-            return;
+    return internal::SummarizeTupleChunks(
+        num_worlds, column_names, config, pool,
+        [&](std::size_t begin, std::size_t end, internal::TupleChunk* chunk) {
+          WorldExtent& joined = chunk->extent;
+          if (cache != nullptr) {
+            joined.world_begin = begin;
+            for (std::size_t w = begin; w < end; ++w) {
+              auto lt = cache->GetOrGenerateColumnar(*left, w, seeds);
+              if (!lt.ok()) {
+                chunk->status = lt.status();
+                return;
+              }
+              auto rt = cache->GetOrGenerateColumnar(*right, w, seeds);
+              if (!rt.ok()) {
+                chunk->status = rt.status();
+                return;
+              }
+              if (Status s = AppendJoinedWorld(
+                      *lt.value(), 0, lt.value()->num_rows(), *rt.value(), 0,
+                      rt.value()->num_rows(), join, config.join_algorithm, w,
+                      &joined);
+                  !s.ok()) {
+                chunk->status = std::move(s);
+                return;
+              }
+            }
+          } else {
+            WorldExtent lext, rext;
+            lext.world_begin = begin;
+            rext.world_begin = begin;
+            for (std::size_t w = begin; w < end; ++w) {
+              if (Status s = lext.AppendWorld(*left, w, seeds); !s.ok()) {
+                chunk->status = std::move(s);
+                return;
+              }
+              if (Status s = rext.AppendWorld(*right, w, seeds); !s.ok()) {
+                chunk->status = std::move(s);
+                return;
+              }
+            }
+            chunk->status =
+                JoinWorlds(lext, rext, join, config.join_algorithm, &joined);
+            if (!chunk->status.ok()) return;
           }
-          auto rt = cache->GetOrGenerateColumnar(*right, w, seeds);
-          if (!rt.ok()) {
-            cell.status = rt.status();
-            return;
-          }
-          cell.joined.world_begin = begin;
-          if (Status s = AppendJoinedWorld(
-                  *lt.value(), 0, lt.value()->num_rows(), *rt.value(), 0,
-                  rt.value()->num_rows(), join, config.join_algorithm, w,
-                  &cell.joined);
-              !s.ok()) {
-            cell.status = std::move(s);
-            return;
-          }
-        }
-      } else {
-        WorldExtent lext, rext;
-        lext.world_begin = begin;
-        rext.world_begin = begin;
-        for (std::size_t w = begin; w < end; ++w) {
-          if (Status s = lext.AppendWorld(*left, w, seeds); !s.ok()) {
-            cell.status = std::move(s);
-            return;
-          }
-          if (Status s = rext.AppendWorld(*right, w, seeds); !s.ok()) {
-            cell.status = std::move(s);
-            return;
-          }
-        }
-        cell.status = JoinWorlds(lext, rext, join, config.join_algorithm,
-                                 &cell.joined);
-      }
-    };
-    if (pool != nullptr && num_chunks >= 2) {
-      pool->ParallelFor(num_chunks, run_cell);
-    } else {
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        run_cell(chunk);
-        if (!cells[chunk].status.ok()) break;
-      }
-    }
-    // Chunk-order scan surfaces the lowest failing world's error, same
-    // as the serial loop, regardless of pool schedule.
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
-    }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      Cell& cell = cells[chunk];
-      for (std::size_t k = 0; k < cell.joined.row_offsets.size(); ++k) {
-        const auto [first, last] = cell.joined.WorldRows(k);
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          JIGSAW_RETURN_IF_ERROR(internal::FoldChunkColumn(
-              cell.joined.data.column(slots[s]), first, last,
-              column_names[s], &estimators[s]));
-        }
-      }
-      // Release the shard as soon as it folds (peak-memory discipline).
-      cell = Cell{};
-    }
-  } else {
-    // Boxed reference twin: the nested-loop oracle runs as a Volcano
-    // plan per world (the same MakeJoinedVGScan leaf the SQL layer
-    // lowers to), columns staged through the copying NumericColumn.
-    struct BoxCell {
-      std::vector<std::vector<double>> buffers;
-      Status status = Status::OK();
-    };
-    std::vector<BoxCell> cells(num_chunks);
-    auto run_cell = [&](std::size_t chunk) {
-      BoxCell& cell = cells[chunk];
-      cell.buffers.resize(slots.size());
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
-      for (std::size_t w = begin; w < end; ++w) {
-        PlanNodePtr plan = MakeJoinedVGScan(left, right, join, cache);
-        EvalContext ctx;
-        ctx.sample_id = w;
-        ctx.seeds = &seeds;
-        ctx.columnar_storage = false;
-        auto joined = ExecuteToTable(*plan, ctx);
-        if (!joined.ok()) {
-          cell.status = joined.status();
-          return;
-        }
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          auto col = joined.value().NumericColumn(column_names[s]);
-          if (!col.ok()) {
-            cell.status = col.status();
-            return;
-          }
-          const std::vector<double>& values = col.value();
-          cell.buffers[s].insert(cell.buffers[s].end(), values.begin(),
-                                 values.end());
-        }
-      }
-    };
-    if (pool != nullptr && num_chunks >= 2) {
-      pool->ParallelFor(num_chunks, run_cell);
-    } else {
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        run_cell(chunk);
-        if (!cells[chunk].status.ok()) break;
-      }
-    }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
-    }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        estimators[s].AddSpan(cells[chunk].buffers[s]);
-      }
-      cells[chunk] = BoxCell{};
-    }
+          chunk->view_status = internal::ViewChunkColumns(
+              joined.data, joined.row_offsets, slots, column_names, chunk);
+        });
   }
 
-  std::map<std::string, OutputMetrics> out;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    out.emplace(column_names[s], estimators[s].Finalize());
-  }
-  return out;
+  // Boxed reference twin: the nested-loop oracle runs as a Volcano plan
+  // per world (the same MakeJoinedVGScan leaf the SQL layer lowers to),
+  // columns staged through the copying NumericColumn.
+  return internal::SummarizeTupleChunks(
+      num_worlds, column_names, config, pool,
+      [&](std::size_t begin, std::size_t end, internal::TupleChunk* chunk) {
+        chunk->buffers.resize(slots.size());
+        for (std::size_t w = begin; w < end; ++w) {
+          PlanNodePtr plan = MakeJoinedVGScan(left, right, join, cache);
+          EvalContext ctx;
+          ctx.sample_id = w;
+          ctx.seeds = &seeds;
+          ctx.columnar_storage = false;
+          auto joined = ExecuteToTable(*plan, ctx);
+          if (!joined.ok()) {
+            chunk->status = joined.status();
+            return;
+          }
+          for (std::size_t s = 0; s < slots.size(); ++s) {
+            auto col = joined.value().NumericColumn(column_names[s]);
+            if (!col.ok()) {
+              chunk->status = col.status();
+              return;
+            }
+            const std::vector<double>& values = col.value();
+            chunk->buffers[s].insert(chunk->buffers[s].end(), values.begin(),
+                                     values.end());
+          }
+        }
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+          chunk->spans[s].emplace_back(chunk->buffers[s]);
+        }
+      });
 }
 
 }  // namespace jigsaw::pdb

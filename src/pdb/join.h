@@ -31,8 +31,8 @@
 /// sides must agree on ("Fast and Simple Relational Processing of
 /// Uncertain Data"). FoldJoinedVGColumns fans world-chunk cells out on
 /// the shared ThreadPool under the same shard-ownership rule as
-/// FoldVGColumns, and folds joined numeric kDouble columns into
-/// Estimator::AddSpan zero-copy.
+/// FoldVGColumns, and summarizes joined numeric kDouble columns in place
+/// (core/column_summary.h).
 
 #include <cstddef>
 #include <map>
@@ -123,12 +123,13 @@ PlanNodePtr MakeJoinedVGScan(VGTableFunctionPtr left,
 /// joined relation — every joined tuple of every world, concatenated in
 /// (world, row) order — into an OutputMetrics summary.
 ///
-/// Under config.columnar_storage each batch_size world chunk is one pool
-/// task (the shard-ownership rule): the task realizes both sides into
-/// its own WorldExtents (interleaving left/right per world, so
-/// generator errors surface in the serial order), joins them with
-/// config.join_algorithm, and the merge reads joined kDouble chunks
-/// zero-copy through Estimator::AddSpan in world order. With the gate
+/// Under config.columnar_storage each batch_size world chunk is one task
+/// (the shard-ownership rule; the calling thread takes chunks alongside
+/// the pool): the task realizes both sides into its own WorldExtents
+/// (interleaving left/right per world, so generator errors surface in
+/// the serial order) and joins them with config.join_algorithm; the
+/// summary kernel then reads the joined chunks in place, in world order,
+/// on the pool. With the gate
 /// off, the boxed twin executes the MakeJoinedVGScan nested-loop oracle
 /// per world and extracts columns through the copying
 /// Table::NumericColumn — same draws, bit-identical metrics, identical

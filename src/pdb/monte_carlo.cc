@@ -8,12 +8,12 @@
 
 namespace jigsaw::pdb {
 
-namespace internal {
-std::size_t g_fold_staged_budget_override = 0;
+namespace {
 
-Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
-                       std::size_t last, const std::string& name,
-                       Estimator* est) {
+/// The "column 'X' is not numeric" error of rows [first, last) of `col`:
+/// a null anywhere, or a non-numeric type.
+Status CheckNumericRows(const ColumnChunk& col, std::size_t first,
+                        std::size_t last, const std::string& name) {
   if (col.null_count() != 0) {
     for (std::size_t r = first; r < last; ++r) {
       if (col.IsNull(r)) {
@@ -21,33 +21,118 @@ Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
       }
     }
   }
-  switch (col.type()) {
-    case ValueType::kDouble:
-      est->AddSpan(col.Doubles().subspan(first, last - first));
-      return Status::OK();
-    case ValueType::kInt: {
-      std::vector<double> widened;
-      widened.reserve(last - first);
-      for (std::size_t r = first; r < last; ++r) {
-        widened.push_back(static_cast<double>(col.Ints()[r]));
-      }
-      est->AddSpan(widened);
-      return Status::OK();
-    }
-    case ValueType::kBool: {
-      std::vector<double> widened;
-      widened.reserve(last - first);
-      for (std::size_t r = first; r < last; ++r) {
-        widened.push_back(col.Bools()[r] != 0 ? 1.0 : 0.0);
-      }
-      est->AddSpan(widened);
-      return Status::OK();
-    }
-    case ValueType::kString:
-    case ValueType::kNull:
-      return Status::ExecutionError("column '" + name + "' is not numeric");
+  if (col.type() == ValueType::kString || col.type() == ValueType::kNull) {
+    return Status::ExecutionError("column '" + name + "' is not numeric");
   }
   return Status::OK();
+}
+
+/// Rows [first, last) of a column that passed CheckNumericRows, as
+/// doubles: a zero-copy view for kDouble; int/bool widen into *widened,
+/// which must outlive the view.
+std::span<const double> NumericRows(const ColumnChunk& col, std::size_t first,
+                                    std::size_t last,
+                                    std::vector<double>* widened) {
+  switch (col.type()) {
+    case ValueType::kInt:
+      widened->reserve(last - first);
+      for (std::size_t r = first; r < last; ++r) {
+        widened->push_back(static_cast<double>(col.Ints()[r]));
+      }
+      return *widened;
+    case ValueType::kBool:
+      widened->reserve(last - first);
+      for (std::size_t r = first; r < last; ++r) {
+        widened->push_back(col.Bools()[r] != 0 ? 1.0 : 0.0);
+      }
+      return *widened;
+    default:
+      return col.Doubles().subspan(first, last - first);
+  }
+}
+
+}  // namespace
+
+namespace internal {
+std::size_t g_fold_staged_budget_override = 0;
+
+Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
+                       std::size_t last, const std::string& name,
+                       Estimator* est) {
+  JIGSAW_RETURN_IF_ERROR(CheckNumericRows(col, first, last, name));
+  std::vector<double> widened;
+  est->AddSpan(NumericRows(col, first, last, &widened));
+  return Status::OK();
+}
+
+Status ViewChunkColumns(const ColumnarTable& t,
+                        std::span<const std::size_t> row_offsets,
+                        std::span<const std::size_t> slots,
+                        std::span<const std::string> names,
+                        TupleChunk* chunk) {
+  if (row_offsets.empty()) return Status::OK();
+  for (std::size_t k = 0; k < row_offsets.size(); ++k) {
+    const std::size_t last =
+        k + 1 < row_offsets.size() ? row_offsets[k + 1] : t.num_rows();
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      JIGSAW_RETURN_IF_ERROR(
+          CheckNumericRows(t.column(slots[s]), row_offsets[k], last, names[s]));
+    }
+  }
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    chunk->spans[s].push_back(NumericRows(t.column(slots[s]), row_offsets[0],
+                                          t.num_rows(),
+                                          &chunk->buffers.emplace_back()));
+  }
+  return Status::OK();
+}
+
+Result<std::map<std::string, OutputMetrics>> SummarizeTupleChunks(
+    std::size_t num_worlds, std::span<const std::string> names,
+    const RunConfig& config, ThreadPool* pool,
+    const std::function<void(std::size_t begin, std::size_t end,
+                             TupleChunk* chunk)>& fill) {
+  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
+  const std::size_t num_chunks =
+      num_worlds == 0 ? 0 : (num_worlds + batch - 1) / batch;
+  std::vector<TupleChunk> chunks(num_chunks);
+  auto run_chunk = [&](std::size_t chunk) {
+    chunks[chunk].spans.resize(names.size());
+    const std::size_t begin = chunk * batch;
+    fill(begin, std::min(begin + batch, num_worlds), &chunks[chunk]);
+  };
+  if (pool != nullptr && num_chunks >= 2) {
+    pool->ParallelForDynamic(num_chunks, run_chunk);
+  } else {
+    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+      run_chunk(chunk);
+      if (!chunks[chunk].status.ok()) break;
+    }
+  }
+  // Chunk-order scans surface the lowest failing world's error, same as
+  // the serial loop, regardless of pool schedule: every realization
+  // error before any view error, as a fold that realizes first meets
+  // them.
+  for (const TupleChunk& chunk : chunks) {
+    if (!chunk.status.ok()) return chunk.status;
+  }
+  for (const TupleChunk& chunk : chunks) {
+    if (!chunk.view_status.ok()) return chunk.view_status;
+  }
+  std::vector<ColumnSpans> columns(names.size());
+  for (const TupleChunk& chunk : chunks) {
+    for (std::size_t s = 0; s < names.size(); ++s) {
+      columns[s].insert(columns[s].end(), chunk.spans[s].begin(),
+                        chunk.spans[s].end());
+    }
+  }
+  std::vector<OutputMetrics> metrics = SummarizeColumns(
+      columns, config.keep_samples, config.histogram_bins, pool);
+  std::map<std::string, OutputMetrics> out;
+  for (std::size_t s = 0; s < names.size(); ++s) {
+    out.emplace(names[s], std::move(metrics[s]));
+  }
+  return out;
 }
 }  // namespace internal
 
@@ -123,8 +208,8 @@ Status NamePoint(bool name_points, std::size_t point, Status status) {
 /// order — a fill stops at (and reports) its lowest failing world, and
 /// every earlier world of the same point lives in an earlier-or-equal
 /// chunk, so the surfaced error matches the serial point-by-point,
-/// world-at-a-time loop regardless of schedule. Finally each point's
-/// buffers merge through Estimator::AddSpan in chunk order, which is
+/// world-at-a-time loop regardless of schedule. Finally the summary
+/// kernel reads each point's buffers in chunk order, which is
 /// bit-identical to a world-at-a-time fold for any chunk partition — and
 /// per point bit-identical to a standalone single-point fold, since a
 /// point's staging never depends on its neighbours. Points stream
@@ -205,25 +290,26 @@ Result<std::vector<std::map<std::string, OutputMetrics>>> FoldChunkGrid(
         if (!s.ok()) return NamePoint(name_points, point, std::move(s));
       }
     }
+    // Every column of every point in the window summarizes in one kernel
+    // call, reading the staged cells in place, chunk after chunk.
+    std::vector<ColumnSpans> columns;
     for (std::size_t point = first; point < last; ++point) {
-      const std::size_t width = points[point].names.size();
-      std::vector<Estimator> estimators(
-          width, Estimator(config.keep_samples, config.histogram_bins));
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        const std::size_t cell = (point - first) * num_chunks + chunk;
-        for (std::size_t slot = 0; slot < width; ++slot) {
-          estimators[slot].AddSpan(stage[cell][slot]);
+      for (std::size_t slot = 0; slot < points[point].names.size(); ++slot) {
+        ColumnSpans& column = columns.emplace_back();
+        for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+          column.emplace_back(
+              stage[(point - first) * num_chunks + chunk][slot]);
         }
-        // Release each cell as it folds: the estimators accumulate their
-        // own copy, so keeping the staging around would double the peak.
-        stage[cell] = {};
       }
-      std::map<std::string, OutputMetrics> columns;
-      for (std::size_t slot = 0; slot < width; ++slot) {
-        columns.emplace(points[point].names[slot],
-                        estimators[slot].Finalize());
+    }
+    std::vector<OutputMetrics> metrics = SummarizeColumns(
+        columns, config.keep_samples, config.histogram_bins, pool);
+    std::size_t next = 0;
+    for (std::size_t point = first; point < last; ++point) {
+      std::map<std::string, OutputMetrics>& named = out.emplace_back();
+      for (const std::string& name : points[point].names) {
+        named.emplace(name, std::move(metrics[next++]));
       }
-      out.push_back(std::move(columns));
     }
   }
   return out;
@@ -412,159 +498,81 @@ Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
     slots.push_back(idx);
   }
 
-  const std::size_t batch = std::max<std::size_t>(1, config.batch_size);
-  const std::size_t num_chunks =
-      num_worlds == 0 ? 0 : (num_worlds + batch - 1) / batch;
-  std::vector<Estimator> estimators(
-      slots.size(), Estimator(config.keep_samples, config.histogram_bins));
-
-  // The shared tuple-level fold kernel (internal::FoldChunkColumn), bound
-  // to this fold's estimator slots.
-  auto fold_column = [&](const ColumnChunk& col, std::size_t first,
-                         std::size_t last, std::size_t s,
-                         const std::string& name) -> Status {
-    return internal::FoldChunkColumn(col, first, last, name, &estimators[s]);
-  };
-
   if (config.columnar_storage) {
-    // Shard-ownership rule: cell `chunk` is the only writer of its
-    // extent, so parallel realization needs no synchronization.
-    struct Cell {
-      WorldExtent extent;
-      std::vector<const ColumnarTable*> cached;
-      Status status = Status::OK();
-    };
-    std::vector<Cell> cells(num_chunks);
-    auto run_cell = [&](std::size_t chunk) {
-      Cell& cell = cells[chunk];
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
-      if (cache != nullptr) {
-        cell.cached.reserve(end - begin);
-        for (std::size_t w = begin; w < end; ++w) {
-          auto r = cache->GetOrGenerateColumnar(fn, w, seeds);
-          if (!r.ok()) {
-            cell.status = r.status();
-            return;
-          }
-          cell.cached.push_back(r.value());
-        }
-      } else {
-        cell.extent.world_begin = begin;
-        for (std::size_t w = begin; w < end; ++w) {
-          if (Status s = cell.extent.AppendWorld(fn, w, seeds); !s.ok()) {
-            cell.status = std::move(s);
-            return;
-          }
-        }
-      }
-    };
-    if (pool != nullptr && num_chunks >= 2) {
-      pool->ParallelFor(num_chunks, run_cell);
-    } else {
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        run_cell(chunk);
-        if (!cells[chunk].status.ok()) break;
-      }
-    }
-    // Chunk-order scan surfaces the lowest failing world's error, same
-    // as the serial loop, regardless of pool schedule.
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
-    }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      Cell& cell = cells[chunk];
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
-      for (std::size_t k = 0; k < end - begin; ++k) {
-        for (std::size_t s = 0; s < slots.size(); ++s) {
+    // Shard-ownership rule: a chunk's task is the only writer of its
+    // extent, so parallel realization needs no synchronization. The task
+    // then views its requested columns (widening int/bool) in place.
+    return internal::SummarizeTupleChunks(
+        num_worlds, column_names, config, pool,
+        [&](std::size_t begin, std::size_t end, internal::TupleChunk* chunk) {
           if (cache != nullptr) {
-            const ColumnarTable& t = *cell.cached[k];
-            JIGSAW_RETURN_IF_ERROR(fold_column(t.column(slots[s]), 0,
-                                               t.num_rows(), s,
-                                               column_names[s]));
-          } else {
-            const auto [first, last] = cell.extent.WorldRows(k);
-            JIGSAW_RETURN_IF_ERROR(fold_column(cell.extent.data.column(
-                                                   slots[s]),
-                                               first, last, s,
-                                               column_names[s]));
-          }
-        }
-      }
-      // Release the shard as soon as it folds; the estimators own their
-      // accumulation, so keeping extents alive would double the peak.
-      cell = Cell{};
-    }
-  } else {
-    // Boxed reference twin: whole Tables, copying NumericColumn
-    // extraction, staged per cell and merged in chunk order (AddSpan of
-    // a concatenation is bit-identical to per-world AddSpan).
-    struct BoxCell {
-      std::vector<std::vector<double>> buffers;
-      Status status = Status::OK();
-    };
-    std::vector<BoxCell> cells(num_chunks);
-    auto run_cell = [&](std::size_t chunk) {
-      BoxCell& cell = cells[chunk];
-      cell.buffers.resize(slots.size());
-      const std::size_t begin = chunk * batch;
-      const std::size_t end = std::min(begin + batch, num_worlds);
-      for (std::size_t w = begin; w < end; ++w) {
-        const Table* table = nullptr;
-        Table local;
-        if (cache != nullptr) {
-          auto r = cache->GetOrGenerate(fn, w, seeds);
-          if (!r.ok()) {
-            cell.status = r.status();
+            constexpr std::size_t kWholeTable[] = {0};
+            for (std::size_t w = begin; w < end; ++w) {
+              auto r = cache->GetOrGenerateColumnar(fn, w, seeds);
+              if (!r.ok()) {
+                chunk->status = r.status();
+                return;
+              }
+              if (chunk->view_status.ok()) {
+                chunk->view_status = internal::ViewChunkColumns(
+                    *r.value(), kWholeTable, slots, column_names, chunk);
+              }
+            }
             return;
           }
-          table = r.value();
-        } else {
-          auto r = fn.Generate(w, seeds);
-          if (!r.ok()) {
-            cell.status = r.status();
-            return;
+          chunk->extent.world_begin = begin;
+          for (std::size_t w = begin; w < end; ++w) {
+            if (Status s = chunk->extent.AppendWorld(fn, w, seeds); !s.ok()) {
+              chunk->status = std::move(s);
+              return;
+            }
           }
-          local = std::move(r).value();
-          table = &local;
-        }
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          auto col = table->NumericColumn(column_names[s]);
-          if (!col.ok()) {
-            cell.status = col.status();
-            return;
-          }
-          const std::vector<double>& values = col.value();
-          cell.buffers[s].insert(cell.buffers[s].end(), values.begin(),
-                                 values.end());
-        }
-      }
-    };
-    if (pool != nullptr && num_chunks >= 2) {
-      pool->ParallelFor(num_chunks, run_cell);
-    } else {
-      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-        run_cell(chunk);
-        if (!cells[chunk].status.ok()) break;
-      }
-    }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      if (!cells[chunk].status.ok()) return std::move(cells[chunk].status);
-    }
-    for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        estimators[s].AddSpan(cells[chunk].buffers[s]);
-      }
-      cells[chunk] = BoxCell{};
-    }
+          chunk->view_status = internal::ViewChunkColumns(
+              chunk->extent.data, chunk->extent.row_offsets, slots,
+              column_names, chunk);
+        });
   }
 
-  std::map<std::string, OutputMetrics> out;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    out.emplace(column_names[s], estimators[s].Finalize());
-  }
-  return out;
+  // Boxed reference twin: whole Tables, copying NumericColumn extraction,
+  // staged per chunk.
+  return internal::SummarizeTupleChunks(
+      num_worlds, column_names, config, pool,
+      [&](std::size_t begin, std::size_t end, internal::TupleChunk* chunk) {
+        chunk->buffers.resize(slots.size());
+        for (std::size_t w = begin; w < end; ++w) {
+          const Table* table = nullptr;
+          Table local;
+          if (cache != nullptr) {
+            auto r = cache->GetOrGenerate(fn, w, seeds);
+            if (!r.ok()) {
+              chunk->status = r.status();
+              return;
+            }
+            table = r.value();
+          } else {
+            auto r = fn.Generate(w, seeds);
+            if (!r.ok()) {
+              chunk->status = r.status();
+              return;
+            }
+            local = std::move(r).value();
+            table = &local;
+          }
+          for (std::size_t s = 0; s < slots.size(); ++s) {
+            auto col = table->NumericColumn(column_names[s]);
+            if (!col.ok()) {
+              chunk->status = col.status();
+              return;
+            }
+            const std::vector<double>& values = col.value();
+            chunk->buffers[s].insert(chunk->buffers[s].end(), values.begin(),
+                                     values.end());
+          }
+        }
+        for (std::size_t s = 0; s < slots.size(); ++s) {
+          chunk->spans[s].emplace_back(chunk->buffers[s]);
+        }
+      });
 }
 
 Result<MonteCarloResult> MonteCarloExecutor::Run(

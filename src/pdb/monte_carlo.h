@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/column_summary.h"
 #include "core/metrics.h"
 #include "core/run_config.h"
 #include "pdb/operators.h"
@@ -49,9 +50,10 @@ using WorldFn = std::function<Result<Table>(std::size_t world)>;
 /// whose numeric-ness flips in a later world is an ExecutionError rather
 /// than a silently skewed statistic. With a non-null `pool`, worlds are
 /// partitioned into config.batch_size-sized chunks evaluated across the
-/// pool into per-chunk per-column staging buffers, then merged in chunk
-/// index order through Estimator::AddSpan — bit-identical to the serial
-/// fold, which stages through the same buffers.
+/// pool into per-chunk per-column staging buffers, which the summary
+/// kernel (core/column_summary.h) reads in place in chunk index order —
+/// bit-identical to the serial fold, which stages through the same
+/// buffers.
 Result<std::map<std::string, OutputMetrics>> FoldWorlds(
     std::size_t num_worlds, const RunConfig& config, ThreadPool* pool,
     const WorldFn& run_world);
@@ -69,8 +71,8 @@ using WorldSpanFn = std::function<Status(
 /// Span twin of FoldWorlds for statically-known all-numeric layouts:
 /// partitions [0, num_worlds) into the same batch_size chunks, evaluates
 /// each chunk with one run_span call (fanned out on `pool` when present),
-/// and merges the per-chunk buffers in chunk index order through
-/// Estimator::AddSpan — bit-identical to FoldWorlds over the same values.
+/// and summarizes the per-chunk buffers in chunk index order —
+/// bit-identical to FoldWorlds over the same values.
 Result<std::map<std::string, OutputMetrics>> FoldWorldSpans(
     std::span<const std::string> column_names, std::size_t num_worlds,
     const RunConfig& config, ThreadPool* pool, const WorldSpanFn& run_span);
@@ -130,10 +132,11 @@ FoldPointWorldSpans(std::span<const std::string> column_names,
 /// every tuple of every world, concatenated in (world, row) order — into
 /// an OutputMetrics distribution summary. This is the columnar hot loop:
 /// under config.columnar_storage each batch_size world chunk is realized
-/// into a WorldExtent owned by exactly one pool task (the shard-ownership
-/// rule — zero cross-task writes), generators bulk-fill column spans, and
-/// the merge reads the chunk buffers zero-copy through Estimator::AddSpan
-/// in world order. With the gate off, the boxed twin generates `Table`s
+/// into a WorldExtent owned by exactly one task (the shard-ownership rule
+/// — zero cross-task writes; the calling thread takes chunks alongside
+/// the pool), generators bulk-fill column spans, and the summary kernel
+/// (core/column_summary.h) reads the chunk buffers in place, in world
+/// order, on the pool. With the gate off, the boxed twin generates `Table`s
 /// and extracts columns through the copying Table::NumericColumn — same
 /// draws, bit-identical metrics, identical error text and ordering (the
 /// serial run stops at the first failing chunk; a parallel run surfaces
@@ -149,14 +152,50 @@ Result<std::map<std::string, OutputMetrics>> FoldVGColumns(
 
 namespace internal {
 /// Folds rows [first, last) of one realized chunk column into *est —
-/// the tuple-level fold kernel shared by FoldVGColumns and the join fold
-/// (pdb/join.h), so both report byte-identical "column 'X' is not
-/// numeric" errors. kDouble with no nulls is the zero-copy AddSpan fast
-/// path; int/bool widen through a copy; a null anywhere is non-numeric,
-/// as in the boxed Table::NumericColumn walk.
+/// kDouble zero-copy, int/bool widened through a copy. A null anywhere,
+/// or a non-numeric type, is "column 'X' is not numeric", as in the
+/// boxed Table::NumericColumn walk.
 Status FoldChunkColumn(const ColumnChunk& col, std::size_t first,
                        std::size_t last, const std::string& name,
                        Estimator* est);
+
+/// One world chunk of a tuple-level fold (FoldVGColumns, the join fold):
+/// what its realization owns and read-only views of the requested
+/// columns, which the summary kernel reads in place.
+struct TupleChunk {
+  WorldExtent extent;  ///< realized (or joined) worlds, unless cached
+  /// Widened int/bool columns or, on the boxed path, the staged values.
+  std::vector<std::vector<double>> buffers;
+  std::vector<ColumnSpans> spans;  ///< per requested column
+  Status status = Status::OK();       ///< realization error
+  Status view_status = Status::OK();  ///< first non-numeric column
+};
+
+/// Views the requested columns of realized worlds for the summary kernel
+/// — shared by FoldVGColumns and the join fold (pdb/join.h), so both
+/// report byte-identical errors in the same order. `t` holds the worlds
+/// back to back, world k starting at row row_offsets[k]. Every (world,
+/// column) is checked in world-major order, as a world-at-a-time fold
+/// meets them, and the first error returns. Otherwise one span per
+/// column over all of `t`'s rows from row_offsets[0] is appended to
+/// chunk->spans; int/bool columns widen into chunk->buffers.
+Status ViewChunkColumns(const ColumnarTable& t,
+                        std::span<const std::size_t> row_offsets,
+                        std::span<const std::size_t> slots,
+                        std::span<const std::string> names,
+                        TupleChunk* chunk);
+
+/// The world-chunk executor of the tuple-level folds: `fill` realizes
+/// worlds [begin, end) into its chunk, on the pool (the calling thread
+/// takes chunks too) or serially up to the first failing chunk. Then the
+/// lowest chunk's realization error returns, else the lowest chunk's
+/// view error, else every column summarized in place, in world order,
+/// under result name names[s].
+Result<std::map<std::string, OutputMetrics>> SummarizeTupleChunks(
+    std::size_t num_worlds, std::span<const std::string> names,
+    const RunConfig& config, ThreadPool* pool,
+    const std::function<void(std::size_t begin, std::size_t end,
+                             TupleChunk* chunk)>& fill);
 
 /// Test hook: when nonzero, overrides the staged-doubles budget that
 /// bounds how many sweep points the chunk-grid fold keeps in flight,

@@ -27,21 +27,42 @@ Histogram Histogram::FromSamples(const std::vector<double>& samples,
     seen_finite = true;
   }
   Histogram h(lo, hi, num_bins);
-  for (double s : samples) h.Add(s);
+  h.AddSpan(samples);
   return h;
 }
 
-void Histogram::Add(double x) {
-  if (!std::isfinite(x)) {
-    // floor() of NaN/±inf is non-finite and casting it to int is UB; a
-    // non-finite observation has no bin, so count it as dropped instead.
-    ++dropped_;
-    return;
+void Histogram::Add(double x) { AddSpan(std::span<const double>(&x, 1)); }
+
+void Histogram::Merge(const Histogram& other) {
+  JIGSAW_CHECK_MSG(lo_ == other.lo_ && hi_ == other.hi_ &&
+                       counts_.size() == other.counts_.size(),
+                   "merging histograms with different bins");
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
   }
-  int bin = static_cast<int>(std::floor((x - lo_) / width_));
-  bin = std::max(0, std::min(bin, num_bins() - 1));
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
+  total_ += other.total_;
+  dropped_ += other.dropped_;
+}
+
+void Histogram::AddSpan(std::span<const double> xs) {
+  const double lo = lo_;
+  const double width = width_;
+  const int last = num_bins() - 1;
+  std::int64_t* const counts = counts_.data();
+  std::int64_t dropped = 0;
+  for (double x : xs) {
+    if (!std::isfinite(x)) {
+      // A non-finite observation has no bin; count it as dropped.
+      ++dropped;
+      continue;
+    }
+    // floor((x - lo) / width) clamped into [0, last], clamping in floating
+    // point so an out-of-range x never reaches an int conversion.
+    const double v = (x - lo) / width;
+    ++counts[v >= last ? last : v > 0.0 ? static_cast<int>(v) : 0];
+  }
+  dropped_ += dropped;
+  total_ += static_cast<std::int64_t>(xs.size()) - dropped;
 }
 
 Histogram Histogram::AffineTransformed(double alpha, double beta) const {

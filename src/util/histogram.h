@@ -7,6 +7,7 @@
 /// "easily applied to simple aggregate properties").
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,15 @@ class Histogram {
   /// Bins a finite observation. Non-finite observations (NaN, ±inf) have
   /// no bin; they are skipped and tallied in dropped_count().
   void Add(double x);
+
+  /// Add for every element of `xs`.
+  void AddSpan(std::span<const double> xs);
+
+  /// Adds `other`'s bin counts and tallies into this histogram. Both must
+  /// share the same range and bin count. The sums are exact integers, so
+  /// merging per-slice histograms in any order gives the histogram of the
+  /// concatenated slices.
+  void Merge(const Histogram& other);
 
   /// Applies M(x) = alpha*x + beta to the bin boundaries. A negative alpha
   /// reverses bin order. Counts are preserved exactly, which is the key

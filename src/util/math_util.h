@@ -89,13 +89,6 @@ double QuantileSorted(const std::vector<double>& sorted, double q);
 /// Convenience: copies, sorts, and computes a quantile.
 double Quantile(std::vector<double> values, double q);
 
-/// Bit-identical to `QuantileSorted(sorted(values), q)` but computed by
-/// selection (nth_element + a tail scan) in O(n) instead of a full
-/// O(n log n) sort — order statistics are unique multiset values, so the
-/// interpolated result carries the exact same bits. Partially reorders
-/// `values`; elements must be totally ordered (no NaNs).
-double QuantileSelect(std::vector<double>& values, double q);
-
 /// True if |a-b| <= atol + rtol*max(|a|,|b|). The fingerprint-matching
 /// tolerance test used throughout the core.
 inline bool ApproxEqual(double a, double b, double rtol = 1e-9,

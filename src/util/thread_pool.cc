@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/logging.h"
 
@@ -79,6 +80,33 @@ void ThreadPool::ParallelFor(std::size_t count,
     });
   }
 
+  MutexLock lock(&done.mu);
+  while (done.pending != 0) done.cv.Wait(&done.mu);
+}
+
+void ThreadPool::ParallelForDynamic(
+    std::size_t count, const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  auto drain = [&next, count, &fn] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      fn(i);
+    }
+  };
+  const std::size_t helpers = count == 0 ? 0 : std::min(count - 1,
+                                                        num_threads());
+  Completion done;
+  {
+    MutexLock lock(&done.mu);
+    done.pending = helpers;
+  }
+  for (std::size_t h = 0; h < helpers; ++h) {
+    Submit([&drain, &done] {
+      drain();
+      MutexLock lock(&done.mu);
+      if (--done.pending == 0) done.cv.NotifyAll();
+    });
+  }
+  drain();
   MutexLock lock(&done.mu);
   while (done.pending != 0) done.cv.Wait(&done.mu);
 }

@@ -58,6 +58,15 @@ class ThreadPool {
                    const std::function<void(std::size_t)>& fn)
       JIGSAW_EXCLUDES(mu_);
 
+  /// Runs fn(i) for i in [0, count) and waits, handing indices out one
+  /// at a time in index order to the calling thread and up to
+  /// num_threads() workers — for uneven task lists (put the longest
+  /// first) where the caller would otherwise sit idle. Same rules as
+  /// ParallelFor: safe from concurrent clients, never from a pool task.
+  void ParallelForDynamic(std::size_t count,
+                          const std::function<void(std::size_t)>& fn)
+      JIGSAW_EXCLUDES(mu_);
+
   std::size_t num_threads() const { return workers_.size(); }
 
  private:

@@ -37,19 +37,6 @@ void ExpectBitIdenticalVectors(const std::vector<double>& a,
   }
 }
 
-void ExpectBitIdenticalMetrics(const OutputMetrics& a,
-                               const OutputMetrics& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(Bits(a.mean), Bits(b.mean));
-  EXPECT_EQ(Bits(a.stddev), Bits(b.stddev));
-  EXPECT_EQ(Bits(a.std_error), Bits(b.std_error));
-  EXPECT_EQ(Bits(a.min), Bits(b.min));
-  EXPECT_EQ(Bits(a.max), Bits(b.max));
-  EXPECT_EQ(Bits(a.p50), Bits(b.p50));
-  EXPECT_EQ(Bits(a.p95), Bits(b.p95));
-  ExpectBitIdenticalVectors(a.samples, b.samples);
-}
-
 // ---------------------------------------------------------------------------
 // SeedVector span access
 // ---------------------------------------------------------------------------
@@ -222,7 +209,7 @@ void ExpectGridIdentical(const RunConfig& base_cfg, const SimFunction& fn,
       SCOPED_TRACE(::testing::Message() << "point " << i);
       EXPECT_EQ(got[i].reused, expected[i].reused);
       EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
-      ExpectBitIdenticalMetrics(got[i].metrics, expected[i].metrics);
+      test::ExpectMetricsBitIdentical(got[i].metrics, expected[i].metrics);
     }
     EXPECT_EQ(runner.stats().points_reused,
               reference.stats().points_reused);
@@ -288,7 +275,7 @@ TEST(BatchGridTest, MissSimulationMetricsBitIdenticalAcrossBatchSizes) {
     const PointResult got = runner.RunPoint(fn, params);
     SCOPED_TRACE(::testing::Message() << "batch " << batch);
     EXPECT_FALSE(got.reused);
-    ExpectBitIdenticalMetrics(got.metrics, expected.metrics);
+    test::ExpectMetricsBitIdentical(got.metrics, expected.metrics);
   }
 }
 
@@ -329,7 +316,7 @@ void ExpectChainRunsIdentical(const MarkovProcess& process,
     const OutputMetrics out_ref = ChainOutputMetrics(
         process, jump_ref, target, MarkovJumpRunner(ref_cfg).seeds(),
         ref_cfg);
-    ExpectBitIdenticalMetrics(out, out_ref);
+    test::ExpectMetricsBitIdentical(out, out_ref);
   }
 }
 

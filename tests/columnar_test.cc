@@ -323,30 +323,6 @@ TEST(WorldCacheDualTest, ParallelMixedConsumersGenerateEachWorldOnce) {
 // FoldVGColumns: columnar vs boxed bit-identity over the acceptance grid
 // ---------------------------------------------------------------------------
 
-void ExpectMetricsBitIdentical(const std::map<std::string, OutputMetrics>& a,
-                               const std::map<std::string, OutputMetrics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  auto ib = b.begin();
-  for (auto ia = a.begin(); ia != a.end(); ++ia, ++ib) {
-    EXPECT_EQ(ia->first, ib->first);
-    EXPECT_EQ(ia->second.count, ib->second.count);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->second.mean),
-              std::bit_cast<std::uint64_t>(ib->second.mean))
-        << ia->first;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->second.stddev),
-              std::bit_cast<std::uint64_t>(ib->second.stddev))
-        << ia->first;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->second.min),
-              std::bit_cast<std::uint64_t>(ib->second.min));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->second.max),
-              std::bit_cast<std::uint64_t>(ib->second.max));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->second.p50),
-              std::bit_cast<std::uint64_t>(ib->second.p50));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->second.p95),
-              std::bit_cast<std::uint64_t>(ib->second.p95));
-  }
-}
-
 TEST(FoldVGColumnsTest, ColumnarBitIdenticalToBoxedAcrossGrid) {
   const std::vector<std::string> names = {"demand", "cost", "in_stock"};
   auto items = MakeScalingItemsVGTable(37);  // odd size straddles chunks
@@ -375,7 +351,7 @@ TEST(FoldVGColumnsTest, ColumnarBitIdenticalToBoxedAcrossGrid) {
         auto got = FoldVGColumns(*items, names, kWorlds, seeds, cfg,
                                  threads > 1 ? &pool : nullptr);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectMetricsBitIdentical(got.value(), reference.value());
+        test::ExpectMetricsBitIdentical(got.value(), reference.value());
       }
     });
   }
@@ -397,13 +373,13 @@ TEST(FoldVGColumnsTest, CachedFoldMatchesUncachedAndCountsGenerations) {
     auto cached = FoldVGColumns(*users, names, kWorlds, seeds, cfg, &pool,
                                 &cache);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-    ExpectMetricsBitIdentical(cached.value(), uncached.value());
+    test::ExpectMetricsBitIdentical(cached.value(), uncached.value());
     EXPECT_EQ(cache.generation_count(), kWorlds);
     // A second fold over the same cache re-reads every world.
     auto again = FoldVGColumns(*users, names, kWorlds, seeds, cfg, &pool,
                                &cache);
     ASSERT_TRUE(again.ok());
-    ExpectMetricsBitIdentical(again.value(), uncached.value());
+    test::ExpectMetricsBitIdentical(again.value(), uncached.value());
     EXPECT_EQ(cache.generation_count(), kWorlds);
   }
 }

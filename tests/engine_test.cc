@@ -6,12 +6,12 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 
 #include "core/optimizer.h"
 #include "core/parameter_space.h"
 #include "core/sim_runner.h"
+#include "grid_test_util.h"
 #include "models/cloud_models.h"
 
 namespace jigsaw {
@@ -346,32 +346,6 @@ TEST(SimRunnerTest, KeepSamplesRetainsMappedSamples) {
 // decision order and every sample is a pure function of its seed.
 // ---------------------------------------------------------------------------
 
-std::uint64_t Bits(double x) {
-  std::uint64_t u;
-  std::memcpy(&u, &x, sizeof u);
-  return u;
-}
-
-void ExpectBitIdenticalMetrics(const OutputMetrics& a,
-                               const OutputMetrics& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(Bits(a.mean), Bits(b.mean));
-  EXPECT_EQ(Bits(a.stddev), Bits(b.stddev));
-  EXPECT_EQ(Bits(a.std_error), Bits(b.std_error));
-  EXPECT_EQ(Bits(a.min), Bits(b.min));
-  EXPECT_EQ(Bits(a.max), Bits(b.max));
-  EXPECT_EQ(Bits(a.p50), Bits(b.p50));
-  EXPECT_EQ(Bits(a.p95), Bits(b.p95));
-  ASSERT_EQ(a.histogram.has_value(), b.histogram.has_value());
-  if (a.histogram) {
-    EXPECT_TRUE(*a.histogram == *b.histogram);
-  }
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    ASSERT_EQ(Bits(a.samples[i]), Bits(b.samples[i])) << "sample " << i;
-  }
-}
-
 void ExpectSweepsIdentical(const RunConfig& base_cfg, const SimFunction& fn,
                            const ParameterSpace& space) {
   RunConfig serial_cfg = base_cfg;
@@ -393,7 +367,7 @@ void ExpectSweepsIdentical(const RunConfig& base_cfg, const SimFunction& fn,
       EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
       ASSERT_NE(got[i].mapping, nullptr);
       EXPECT_EQ(got[i].mapping->ToString(), expected[i].mapping->ToString());
-      ExpectBitIdenticalMetrics(got[i].metrics, expected[i].metrics);
+      test::ExpectMetricsBitIdentical(got[i].metrics, expected[i].metrics);
     }
 
     EXPECT_EQ(runner.stats().points_evaluated,

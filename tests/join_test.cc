@@ -118,9 +118,11 @@ VGTableFunctionPtr MakeDoubleLeft() {
   return std::make_shared<KeyedVGTable>(
       "double_left", schema, [](std::size_t w, Table* out) -> Status {
         for (std::size_t i = 0; i < 8 + w % 2; ++i) {
-          JIGSAW_RETURN_IF_ERROR(out->AddRow(
-              {DoubleKey(w, i), D(10.0 * static_cast<double>(i) +
-                                  static_cast<double>(w))}));
+          Row row;
+          row.push_back(DoubleKey(w, i));
+          row.push_back(
+              D(10.0 * static_cast<double>(i) + static_cast<double>(w)));
+          JIGSAW_RETURN_IF_ERROR(out->AddRow(std::move(row)));
         }
         return Status::OK();
       });
@@ -131,9 +133,11 @@ VGTableFunctionPtr MakeDoubleRight() {
   return std::make_shared<KeyedVGTable>(
       "double_right", schema, [](std::size_t w, Table* out) -> Status {
         for (std::size_t i = 0; i < 9; ++i) {
-          JIGSAW_RETURN_IF_ERROR(out->AddRow(
-              {DoubleKey(w + 1, i), D(-3.0 * static_cast<double>(i) -
-                                      static_cast<double>(w))}));
+          Row row;
+          row.push_back(DoubleKey(w + 1, i));
+          row.push_back(
+              D(-3.0 * static_cast<double>(i) - static_cast<double>(w)));
+          JIGSAW_RETURN_IF_ERROR(out->AddRow(std::move(row)));
         }
         return Status::OK();
       });
@@ -201,23 +205,6 @@ VGTableFunctionPtr MakePlainRight(std::string name) {
         }
         return Status::OK();
       });
-}
-
-void ExpectSameMetrics(const std::map<std::string, OutputMetrics>& expected,
-                       const std::map<std::string, OutputMetrics>& actual) {
-  ASSERT_EQ(expected.size(), actual.size());
-  for (const auto& [name, m] : expected) {
-    ASSERT_TRUE(actual.count(name)) << name;
-    const auto& a = actual.at(name);
-    EXPECT_EQ(m.count, a.count) << name;
-    EXPECT_EQ(m.mean, a.mean) << name;
-    EXPECT_EQ(m.stddev, a.stddev) << name;
-    EXPECT_EQ(m.std_error, a.std_error) << name;
-    EXPECT_EQ(m.p50, a.p50) << name;
-    EXPECT_EQ(m.p95, a.p95) << name;
-    EXPECT_EQ(m.min, a.min) << name;
-    EXPECT_EQ(m.max, a.max) << name;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -629,7 +616,7 @@ class JoinFoldTest : public ::testing::Test {
           config.batch_size = batch;
           auto got = Fold(left, right, keys, columns, config);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectSameMetrics(reference.value(), got.value());
+          test::ExpectMetricsBitIdentical(reference.value(), got.value());
         }
       }
     });
@@ -682,7 +669,7 @@ TEST_F(JoinFoldTest, UsersJoinItemsBothSeedSchemas) {
           config.batch_size = batch;
           auto got = Fold(users, items, keys, columns, config);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectSameMetrics(reference.value(), got.value());
+          test::ExpectMetricsBitIdentical(reference.value(), got.value());
         }
       }
     });
@@ -723,13 +710,13 @@ TEST_F(JoinFoldTest, WorldCacheSharesRealizationsAcrossRuns) {
   config.batch_size = 7;
   auto cached = Fold(left, right, keys, columns, config, &cache);
   ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-  ExpectSameMetrics(reference.value(), cached.value());
+  test::ExpectMetricsBitIdentical(reference.value(), cached.value());
   // One generation per (table, world), none for cache hits afterwards.
   EXPECT_EQ(cache.generation_count(), 2 * kWorlds);
 
   auto rerun = Fold(left, right, keys, columns, config, &cache);
   ASSERT_TRUE(rerun.ok());
-  ExpectSameMetrics(reference.value(), rerun.value());
+  test::ExpectMetricsBitIdentical(reference.value(), rerun.value());
   EXPECT_EQ(cache.generation_count(), 2 * kWorlds);
 
   // The boxed twin re-reads the same cache entries (conversion between
@@ -737,7 +724,7 @@ TEST_F(JoinFoldTest, WorldCacheSharesRealizationsAcrossRuns) {
   config.columnar_storage = false;
   auto boxed = Fold(left, right, keys, columns, config, &cache);
   ASSERT_TRUE(boxed.ok());
-  ExpectSameMetrics(reference.value(), boxed.value());
+  test::ExpectMetricsBitIdentical(reference.value(), boxed.value());
   EXPECT_EQ(cache.generation_count(), 2 * kWorlds);
 }
 

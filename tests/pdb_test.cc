@@ -894,28 +894,13 @@ TEST(MonteCarloTest, MultiRowResultIsError) {
 // Parallel Monte Carlo (possible-worlds fan-out)
 // ---------------------------------------------------------------------------
 
-void ExpectMetricsBitIdentical(const OutputMetrics& a,
-                               const OutputMetrics& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.stddev, b.stddev);
-  EXPECT_EQ(a.std_error, b.std_error);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_EQ(a.p50, b.p50);
-  EXPECT_EQ(a.p95, b.p95);
-  ASSERT_EQ(a.histogram.has_value(), b.histogram.has_value());
-  if (a.histogram) EXPECT_TRUE(*a.histogram == *b.histogram);
-  EXPECT_EQ(a.samples, b.samples);
-}
-
 void ExpectResultsBitIdentical(const MonteCarloResult& a,
                                const MonteCarloResult& b) {
   EXPECT_EQ(a.worlds, b.worlds);
   ASSERT_EQ(a.columns.size(), b.columns.size());
   for (const auto& [name, metrics] : a.columns) {
     ASSERT_TRUE(b.columns.count(name)) << name;
-    ExpectMetricsBitIdentical(metrics, b.columns.at(name));
+    test::ExpectMetricsBitIdentical(metrics, b.columns.at(name));
   }
 }
 
@@ -1165,8 +1150,8 @@ TEST(MonteCarloSweepTest, SpanSweepBitIdenticalToPerPointFolds) {
         SCOPED_TRACE(testing::Message() << "point " << point);
         ASSERT_EQ(sweep.value()[point].size(), names.size());
         for (const auto& [name, metrics] : expected[point]) {
-          ExpectMetricsBitIdentical(metrics,
-                                    sweep.value()[point].at(name));
+          test::ExpectMetricsBitIdentical(metrics,
+                                          sweep.value()[point].at(name));
         }
       }
     });
@@ -1198,8 +1183,8 @@ TEST(MonteCarloSweepTest, WindowedStagingIsBitIdenticalAndOrdersErrors) {
   ASSERT_EQ(windowed.value().size(), 5u);
   for (std::size_t point = 0; point < 5; ++point) {
     SCOPED_TRACE(testing::Message() << "point " << point);
-    ExpectMetricsBitIdentical(whole.value()[point].at("x"),
-                              windowed.value()[point].at("x"));
+    test::ExpectMetricsBitIdentical(whole.value()[point].at("x"),
+                                    windowed.value()[point].at("x"));
   }
 
   // An error in a late window (point 3, world 12) is surfaced with the

@@ -47,18 +47,6 @@ void ExpectBitIdenticalVectors(const std::vector<double>& a,
   }
 }
 
-void ExpectBitIdenticalMetrics(const OutputMetrics& a,
-                               const OutputMetrics& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(Bits(a.mean), Bits(b.mean));
-  EXPECT_EQ(Bits(a.stddev), Bits(b.stddev));
-  EXPECT_EQ(Bits(a.min), Bits(b.min));
-  EXPECT_EQ(Bits(a.max), Bits(b.max));
-  EXPECT_EQ(Bits(a.p50), Bits(b.p50));
-  EXPECT_EQ(Bits(a.p95), Bits(b.p95));
-  ExpectBitIdenticalVectors(a.samples, b.samples);
-}
-
 // ---------------------------------------------------------------------------
 // Native kernels: the v2 draw-plane fast paths against the scalar
 // counter-stream twin, at unaligned sample offsets (partial Philox
@@ -173,7 +161,7 @@ void ExpectV2GridIdentical(const RunConfig& base_cfg, const SimFunction& fn,
       SCOPED_TRACE(::testing::Message() << "point " << i);
       EXPECT_EQ(got[i].reused, expected[i].reused);
       EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
-      ExpectBitIdenticalMetrics(got[i].metrics, expected[i].metrics);
+      test::ExpectMetricsBitIdentical(got[i].metrics, expected[i].metrics);
     }
     EXPECT_EQ(runner.stats().points_reused,
               reference.stats().points_reused);
@@ -248,7 +236,7 @@ TEST_F(SeedSchemaScriptTest, SweepBitIdenticalOnGrid) {
           auto it = gm.points[p].columns.find(name);
           ASSERT_NE(it, gm.points[p].columns.end()) << name;
           SCOPED_TRACE("column " + name);
-          ExpectBitIdenticalMetrics(it->second, metrics);
+          test::ExpectMetricsBitIdentical(it->second, metrics);
         }
       }
     }
@@ -421,7 +409,7 @@ TEST_F(SeedSchemaServeTest, V2SessionMatchesStandaloneTwin) {
     for (const auto& [name, metrics] : tm.points[p].columns) {
       auto it = sm.points[p].columns.find(name);
       ASSERT_NE(it, sm.points[p].columns.end()) << name;
-      ExpectBitIdenticalMetrics(it->second, metrics);
+      test::ExpectMetricsBitIdentical(it->second, metrics);
     }
   }
 }

@@ -52,30 +52,6 @@ const std::string kLayeredSweepScript =
 constexpr const char* kFaultyScript =
     "SELECT 1 / CoinFlip(0.97) AS q INTO r; MONTECARLO;";
 
-void ExpectSameMetrics(const OutputMetrics& a, const OutputMetrics& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.stddev, b.stddev);
-  EXPECT_EQ(a.std_error, b.std_error);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_EQ(a.p50, b.p50);
-  EXPECT_EQ(a.p95, b.p95);
-  // Draw-level identity, not just summary identity.
-  EXPECT_EQ(a.samples, b.samples);
-}
-
-void ExpectSameColumns(const std::map<std::string, OutputMetrics>& a,
-                       const std::map<std::string, OutputMetrics>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [name, metrics] : a) {
-    SCOPED_TRACE("column " + name);
-    auto it = b.find(name);
-    ASSERT_NE(it, b.end());
-    ExpectSameMetrics(metrics, it->second);
-  }
-}
-
 void ExpectSameOutcome(const ScriptOutcome& a, const ScriptOutcome& b) {
   ASSERT_EQ(a.montecarlo.has_value(), b.montecarlo.has_value());
   if (a.montecarlo) {
@@ -85,16 +61,19 @@ void ExpectSameOutcome(const ScriptOutcome& a, const ScriptOutcome& b) {
     EXPECT_EQ(ma.layered, mb.layered);
     EXPECT_EQ(ma.sweep_param, mb.sweep_param);
     EXPECT_EQ(ma.master_seed, mb.master_seed);
-    ExpectSameColumns(ma.columns, mb.columns);
+    test::ExpectMetricsBitIdentical(ma.columns, mb.columns);
     ASSERT_EQ(ma.points.size(), mb.points.size());
     for (std::size_t k = 0; k < ma.points.size(); ++k) {
       SCOPED_TRACE(::testing::Message() << "sweep point " << k);
       EXPECT_EQ(ma.points[k].value, mb.points[k].value);
-      ExpectSameColumns(ma.points[k].columns, mb.points[k].columns);
+      test::ExpectMetricsBitIdentical(ma.points[k].columns,
+                                      mb.points[k].columns);
     }
   }
   ASSERT_EQ(a.optimize.has_value(), b.optimize.has_value());
-  if (a.optimize) EXPECT_EQ(a.optimize->ToString(), b.optimize->ToString());
+  if (a.optimize) {
+    EXPECT_EQ(a.optimize->ToString(), b.optimize->ToString());
+  }
   EXPECT_EQ(a.runner_stats.points_evaluated, b.runner_stats.points_evaluated);
   EXPECT_EQ(a.runner_stats.points_reused, b.runner_stats.points_reused);
   EXPECT_EQ(a.runner_stats.blackbox_invocations,

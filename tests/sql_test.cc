@@ -590,23 +590,6 @@ class CompiledExprTest : public BinderTest {
     ScriptRunner runner(&registry_, cfg);
     return runner.Run(text);
   }
-
-  static void ExpectSameMetrics(
-      const std::map<std::string, OutputMetrics>& expected,
-      const std::map<std::string, OutputMetrics>& actual) {
-    ASSERT_EQ(expected.size(), actual.size());
-    for (const auto& [name, m] : expected) {
-      const auto& a = actual.at(name);
-      EXPECT_EQ(m.count, a.count) << name;
-      EXPECT_EQ(m.mean, a.mean) << name;
-      EXPECT_EQ(m.stddev, a.stddev) << name;
-      EXPECT_EQ(m.std_error, a.std_error) << name;
-      EXPECT_EQ(m.p50, a.p50) << name;
-      EXPECT_EQ(m.p95, a.p95) << name;
-      EXPECT_EQ(m.min, a.min) << name;
-      EXPECT_EQ(m.max, a.max) << name;
-    }
-  }
 };
 
 constexpr const char* kCompiledMonteCarloScript = R"(
@@ -630,8 +613,8 @@ TEST_F(CompiledExprTest, MonteCarloBitIdenticalToInterpreterAcrossGrid) {
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
     ASSERT_TRUE(compiled.value().bound.program->compiled())
         << compiled.value().bound.program->batch_fallback_reason;
-    ExpectSameMetrics(reference.value().montecarlo->columns,
-                      compiled.value().montecarlo->columns);
+    test::ExpectMetricsBitIdentical(reference.value().montecarlo->columns,
+                                    compiled.value().montecarlo->columns);
   });
 }
 
@@ -644,8 +627,8 @@ TEST_F(CompiledExprTest, LayeredMonteCarloBitIdenticalToInterpreter) {
   auto compiled = RunScript(script, /*compiled=*/true, 2, 7);
   ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  ExpectSameMetrics(interpreted.value().montecarlo->columns,
-                    compiled.value().montecarlo->columns);
+  test::ExpectMetricsBitIdentical(interpreted.value().montecarlo->columns,
+                                  compiled.value().montecarlo->columns);
 }
 
 TEST_F(CompiledExprTest, ChainBitIdenticalToInterpreterAcrossBatches) {
@@ -757,8 +740,8 @@ TEST_F(CompiledExprTest, ShortCircuitGuardsErroringOperandsLikeInterpreter) {
   auto compiled = RunScript(script, /*compiled=*/true, 2, 7);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   ASSERT_TRUE(compiled.value().bound.program->compiled());
-  ExpectSameMetrics(interpreted.value().montecarlo->columns,
-                    compiled.value().montecarlo->columns);
+  test::ExpectMetricsBitIdentical(interpreted.value().montecarlo->columns,
+                                  compiled.value().montecarlo->columns);
   // Sanity: both coin faces actually occurred.
   EXPECT_GT(compiled.value().montecarlo->columns.at("has").mean, 0.0);
   EXPECT_LT(compiled.value().montecarlo->columns.at("has").mean, 1.0);
@@ -857,16 +840,6 @@ class MonteCarloSweepTest : public CompiledExprTest {
     return runner.Run(text, overrides);
   }
 
-  /// Metric equality plus bitwise draw equality (keep_samples runs).
-  static void ExpectSameMetricsAndDraws(
-      const std::map<std::string, OutputMetrics>& expected,
-      const std::map<std::string, OutputMetrics>& actual) {
-    ExpectSameMetrics(expected, actual);
-    for (const auto& [name, m] : expected) {
-      EXPECT_EQ(m.samples, actual.at(name).samples) << name;
-    }
-  }
-
   static std::string Engine(bool layered) {
     return layered ? " USING LAYERED;" : ";";
   }
@@ -932,7 +905,8 @@ TEST_F(MonteCarloSweepTest, BitIdenticalToStandaloneAcrossGrid) {
           for (std::size_t k = 0; k < npoints; ++k) {
             SCOPED_TRACE(testing::Message() << "point " << k);
             EXPECT_EQ(mc->points[k].value, PointValues(9)[k]);
-            ExpectSameMetricsAndDraws(standalone[k], mc->points[k].columns);
+            test::ExpectMetricsBitIdentical(standalone[k],
+                                            mc->points[k].columns);
           }
         });
       }
@@ -961,8 +935,8 @@ TEST_F(MonteCarloSweepTest, BareOverAndRangeFormsExpandPoints) {
   EXPECT_EQ(range.value().montecarlo->points[0].value, 10.0);
   EXPECT_EQ(range.value().montecarlo->points[1].value, 30.0);
   // Same point, same draws: range point 0 == bare point 0 bit-for-bit.
-  ExpectSameMetricsAndDraws(bare.value().montecarlo->points[0].columns,
-                            range.value().montecarlo->points[0].columns);
+  test::ExpectMetricsBitIdentical(bare.value().montecarlo->points[0].columns,
+                                  range.value().montecarlo->points[0].columns);
 }
 
 TEST_F(MonteCarloSweepTest, OverridesStillPinNonSweptParameters) {
@@ -976,8 +950,8 @@ TEST_F(MonteCarloSweepTest, OverridesStillPinNonSweptParameters) {
   auto standalone = RunSweepScript(scenario + "MONTECARLO;", true, 1, 64, 40,
                                    {{"f", 52.0}, {"w", 30.0}});
   ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
-  ExpectSameMetricsAndDraws(standalone.value().montecarlo->columns,
-                            sweep.value().montecarlo->points[1].columns);
+  test::ExpectMetricsBitIdentical(standalone.value().montecarlo->columns,
+                                  sweep.value().montecarlo->points[1].columns);
 }
 
 TEST_F(MonteCarloSweepTest, BindErrors) {
@@ -1325,24 +1299,6 @@ MONTECARLO FROM users(20, 0.8, 5.0, 2.0) AS u JOIN items(30) AS i
     return runner.Run(text);
   }
 
-  static void ExpectSameMetrics(
-      const std::map<std::string, OutputMetrics>& expected,
-      const std::map<std::string, OutputMetrics>& actual) {
-    ASSERT_EQ(expected.size(), actual.size());
-    for (const auto& [name, m] : expected) {
-      ASSERT_TRUE(actual.count(name)) << name;
-      const auto& a = actual.at(name);
-      EXPECT_EQ(m.count, a.count) << name;
-      EXPECT_EQ(m.mean, a.mean) << name;
-      EXPECT_EQ(m.stddev, a.stddev) << name;
-      EXPECT_EQ(m.std_error, a.std_error) << name;
-      EXPECT_EQ(m.p50, a.p50) << name;
-      EXPECT_EQ(m.p95, a.p95) << name;
-      EXPECT_EQ(m.min, a.min) << name;
-      EXPECT_EQ(m.max, a.max) << name;
-    }
-  }
-
   void ExpectBindError(const std::string& script,
                        const std::string& message_fragment) {
     auto bound = ParseAndBind(script, registry_);
@@ -1392,8 +1348,8 @@ TEST_F(JoinSqlTest, EnginesStorageAndAlgorithmsBitIdenticalAcrossGrid) {
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           EXPECT_EQ(got.value().montecarlo->layered,
                     std::string(engine) == " USING LAYERED");
-          ExpectSameMetrics(reference.value().montecarlo->columns,
-                            got.value().montecarlo->columns);
+          test::ExpectMetricsBitIdentical(reference.value().montecarlo->columns,
+                                          got.value().montecarlo->columns);
         }
       }
     }
@@ -1419,8 +1375,8 @@ TEST_F(JoinSqlTest, SweepPointsBitIdenticalToStandalone) {
     ASSERT_EQ(mc.points.size(), 3u);
     EXPECT_DOUBLE_EQ(mc.points[1].value, 3.0);
     for (const auto& point : mc.points) {
-      ExpectSameMetrics(standalone.value().montecarlo->columns,
-                        point.columns);
+      test::ExpectMetricsBitIdentical(standalone.value().montecarlo->columns,
+                                      point.columns);
     }
   }
 }

@@ -1,5 +1,6 @@
 // Tests for the worker pool underpinning parallel sample evaluation and
-// the parallel sweep: ParallelFor index coverage, WaitIdle blocking
+// the parallel sweep: ParallelFor / ParallelForDynamic index coverage,
+// the dynamic fan-out's use of the calling thread, WaitIdle blocking
 // semantics, and clean shutdown while producers are still submitting.
 //
 // ---------------------------------------------------------------------------
@@ -42,6 +43,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -121,43 +123,78 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   EXPECT_EQ(pool.num_threads(), 1u);
 }
 
+/// Both fan-outs share one contract: every index exactly once, then
+/// return. ParallelForDynamic also runs indices on the calling thread.
+using ForEachIndex = void (ThreadPool::*)(
+    std::size_t, const std::function<void(std::size_t)>&);
+constexpr ForEachIndex kFanOuts[] = {&ThreadPool::ParallelFor,
+                                     &ThreadPool::ParallelForDynamic};
+
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  constexpr std::size_t kCount = 10'000;
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelFor(kCount, [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  for (ForEachIndex fan_out : kFanOuts) {
+    constexpr std::size_t kCount = 10'000;
+    std::vector<std::atomic<int>> hits(kCount);
+    (pool.*fan_out)(kCount, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    }
   }
 }
 
 TEST(ThreadPoolTest, ParallelForHandlesEmptyAndTinyRanges) {
   ThreadPool pool(8);
-  std::atomic<std::size_t> calls{0};
-  pool.ParallelFor(0, [&](std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0u);
-  pool.ParallelFor(1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 1u);
-  // Fewer indices than threads: every index still runs exactly once.
-  std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(3, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (ForEachIndex fan_out : kFanOuts) {
+    std::atomic<std::size_t> calls{0};
+    (pool.*fan_out)(0, [&](std::size_t) { calls.fetch_add(1); });
+    EXPECT_EQ(calls.load(), 0u);
+    (pool.*fan_out)(1, [&](std::size_t i) {
+      EXPECT_EQ(i, 0u);
+      calls.fetch_add(1);
+    });
+    EXPECT_EQ(calls.load(), 1u);
+    // Fewer indices than threads: every index still runs exactly once.
+    std::vector<std::atomic<int>> hits(3);
+    (pool.*fan_out)(3, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForIsReentrantAcrossCalls) {
   ThreadPool pool(2);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<std::size_t> sum{0};
-    pool.ParallelFor(100, [&](std::size_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 4950u);
+  for (ForEachIndex fan_out : kFanOuts) {
+    for (int round = 0; round < 50; ++round) {
+      std::atomic<std::size_t> sum{0};
+      (pool.*fan_out)(100, [&](std::size_t i) {
+        sum.fetch_add(i, std::memory_order_relaxed);
+      });
+      EXPECT_EQ(sum.load(), 4950u);
+    }
   }
+}
+
+TEST(ThreadPoolTest, ParallelForDynamicRunsIndicesOnTheCaller) {
+  // The only worker is busy, so every index must run on the caller; the
+  // call returns once the worker frees up and its helper task ends.
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  pool.Submit([&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  std::atomic<int> done{0};
+  std::thread caller([&] {
+    pool.ParallelForDynamic(10, [&](std::size_t) { done.fetch_add(1); });
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (done.load() < 10 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(done.load(), 10);
+  release.store(true);
+  caller.join();
 }
 
 TEST(ThreadPoolTest, WaitIdleBlocksUntilSubmittedWorkFinishes) {
@@ -236,7 +273,8 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallersCompleteIndependently) {
     callers.emplace_back([&, c] {
       bool complete = true;
       for (int round = 0; round < kRounds; ++round) {
-        pool.ParallelFor(kItems, [&, c](std::size_t i) {
+        // Odd callers fan out dynamically, so both kinds interleave.
+        (pool.*kFanOuts[c % 2])(kItems, [&, c](std::size_t i) {
           hits[c][i].fetch_add(1, std::memory_order_relaxed);
         });
         // Per-call completion: after ParallelFor returns, every one of

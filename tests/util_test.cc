@@ -146,31 +146,6 @@ TEST(QuantileTest, SingleElement) {
   EXPECT_DOUBLE_EQ(Quantile({7.0}, 0.25), 7.0);
 }
 
-TEST(QuantileTest, SelectMatchesSortBitForBit) {
-  // QuantileSelect's contract is exact equality with the sort-based path:
-  // same interpolation, order statistics obtained by selection. Exercise
-  // odd/even sizes, heavy duplicates, and q at/between rank boundaries.
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-  auto next = [&state]() {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<double>(state >> 40) / 1048576.0;
-  };
-  for (std::size_t n : {1u, 2u, 3u, 17u, 100u, 101u, 1000u}) {
-    std::vector<double> values;
-    values.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Quantize so duplicates occur often.
-      values.push_back(std::floor(next() * 16.0) / 4.0);
-    }
-    for (double q : {0.0, 0.25, 0.5, 0.75, 0.95, 1.0}) {
-      std::vector<double> scratch = values;
-      const double by_select = QuantileSelect(scratch, q);
-      const double by_sort = Quantile(values, q);
-      EXPECT_EQ(by_select, by_sort) << "n=" << n << " q=" << q;
-    }
-  }
-}
-
 TEST(ApproxEqualTest, RelativeAndAbsolute) {
   EXPECT_TRUE(ApproxEqual(1.0, 1.0 + 1e-12));
   EXPECT_TRUE(ApproxEqual(1e12, 1e12 * (1 + 1e-10)));
