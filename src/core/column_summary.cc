@@ -26,7 +26,6 @@ constexpr std::size_t kMinPoolSamples = std::size_t{1} << 14;
 /// gathered rather than refined.
 constexpr std::size_t kGatherMax = std::size_t{1} << 15;
 constexpr int kBucketBits = 10;
-constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
 
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -47,11 +46,11 @@ double FromOrderKey(std::uint64_t key) {
 /// indices handed out in order so long tasks listed first start first.
 void RunTasks(ThreadPool* pool, std::size_t count,
               const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || count < 2) {
+  if (pool == nullptr) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  pool->ParallelForDynamic(count, fn);
+  pool->ParallelFor(count, fn);
 }
 
 /// A column's spans with the offset of each in their concatenation.
@@ -117,18 +116,14 @@ struct FiniteRange {
 
 /// A pending order-statistic search: resolve `ranks` (ascending ranks
 /// among the column's finite values), all of which hold keys in
-/// [klo, khi], with `below` finite values keyed under klo. A column's
-/// first pass buckets linearly by value from `vlo` (`scale` > 0), which
-/// spreads typical data evenly; refinements bucket by key, which always
-/// narrows the range by about 2^kBucketBits.
+/// [klo, khi], with `below` finite values keyed under klo. Each count
+/// pass buckets by key, which narrows the range by about 2^kBucketBits.
 struct Selection {
   std::size_t column;
   std::uint64_t klo;
   std::uint64_t khi;
   std::size_t below;
   std::vector<std::size_t> ranks;
-  double vlo = 0.0;
-  double scale = 0.0;
 };
 
 /// Per-bucket count and key range of the finite values in a selection's
@@ -157,29 +152,10 @@ Buckets CountCell(const Column& col, const Cell& cell, const Selection& sel) {
   const std::uint64_t khi = sel.khi;
   const int shift = std::max(
       0, static_cast<int>(std::bit_width(khi - klo)) - kBucketBits);
-  Buckets b(sel.scale > 0.0 ? kBuckets : ((khi - klo) >> shift) + 1);
+  Buckets b(((khi - klo) >> shift) + 1);
   std::size_t* const count = b.count.data();
   std::uint64_t* const kmin = b.kmin.data();
   std::uint64_t* const kmax = b.kmax.data();
-  auto tally = [&](std::size_t i, std::uint64_t k) {
-    ++count[i];
-    kmin[i] = std::min(kmin[i], k);
-    kmax[i] = std::max(kmax[i], k);
-  };
-  if (sel.scale > 0.0) {
-    // Linear: every finite value of the column is in range.
-    const double vlo = sel.vlo;
-    const double scale = sel.scale;
-    col.ForEach(cell.begin, cell.end, [&](std::span<const double> xs) {
-      for (double x : xs) {
-        if (!std::isfinite(x)) continue;
-        tally(std::min(kBuckets - 1,
-                       static_cast<std::size_t>((x - vlo) * scale)),
-              OrderKey(x));
-      }
-    });
-    return b;
-  }
   // By key, behind a cheap floating-point range test (which also drops
   // NaN and +-inf); the key test settles signed zeros at the bounds.
   const double lo = FromOrderKey(klo);
@@ -189,7 +165,10 @@ Buckets CountCell(const Column& col, const Cell& cell, const Selection& sel) {
       if (!(x >= lo && x <= hi)) continue;
       const std::uint64_t k = OrderKey(x);
       if (k < klo || k > khi) continue;
-      tally(static_cast<std::size_t>((k - klo) >> shift), k);
+      const auto i = static_cast<std::size_t>((k - klo) >> shift);
+      ++count[i];
+      kmin[i] = std::min(kmin[i], k);
+      kmax[i] = std::max(kmax[i], k);
     }
   });
   return b;
@@ -351,11 +330,6 @@ std::vector<OutputMetrics> SummarizeColumns(
     if (r.count <= kGatherMax) {
       gathering.push_back(std::move(sel));
       continue;
-    }
-    const double scale = static_cast<double>(kBuckets) / (r.hi - r.lo);
-    if (std::isfinite(scale) && scale > 0.0) {
-      sel.vlo = r.lo;
-      sel.scale = scale;
     }
     first_count[c] = counting.size();
     counting.push_back(std::move(sel));

@@ -19,11 +19,10 @@
 ///   * histogram bin counts are integers and add exactly
 ///     (Histogram::Merge);
 ///   * p50/p95 come from a count-then-refine selection: a count pass per
-///     slice buckets the finite values (linearly by value first, by IEEE
-///     totalOrder key when refining), and the bucket holding each needed
-///     rank is either single-valued (answered without a gather), small
-///     enough to gather into private scratch for nth_element, or
-///     re-bucketed over its own key range.
+///     slice buckets the finite values by IEEE totalOrder key, and the
+///     bucket holding each needed rank is either single-valued (answered
+///     without a gather), small enough to gather into private scratch for
+///     nth_element, or re-bucketed over its own key range.
 ///
 /// Order statistics follow IEEE totalOrder, so when -0.0 and +0.0 both
 /// sit at a selected rank, -0.0 ranks below +0.0.

@@ -102,7 +102,7 @@ Result<std::map<std::string, OutputMetrics>> SummarizeTupleChunks(
     fill(begin, std::min(begin + batch, num_worlds), &chunks[chunk]);
   };
   if (pool != nullptr && num_chunks >= 2) {
-    pool->ParallelForDynamic(num_chunks, run_chunk);
+    pool->ParallelFor(num_chunks, run_chunk);
   } else {
     for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
       run_chunk(chunk);

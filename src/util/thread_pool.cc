@@ -43,12 +43,12 @@ namespace {
 
 /// Per-ParallelFor-call completion state, owned by the caller's stack:
 /// when the pool is shared by several client threads, a caller must wait
-/// for exactly its own chunks — WaitIdle would block on every other
+/// for exactly its own helpers — WaitIdle would block on every other
 /// client's in-flight work too (and with another session continuously
 /// submitting, might never return). The tasks reference this struct; the
-/// wait in ParallelFor keeps it alive until the last chunk has signalled.
+/// wait in ParallelFor keeps it alive until the last helper has signalled.
 /// `pending` is guarded by the per-call mutex so the analysis checks the
-/// chunk tasks' decrements the same way it checks pool-wide state.
+/// helper tasks' decrements the same way it checks pool-wide state.
 struct Completion {
   Mutex mu;
   CondVar cv;
@@ -59,41 +59,15 @@ struct Completion {
 
 void ThreadPool::ParallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  const std::size_t chunks = std::min(count, num_threads() * 4);
-  const std::size_t chunk_size = (count + chunks - 1) / chunks;
-
-  Completion done;
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(begin + chunk_size, count);
-    if (begin >= end) break;
-    {
-      MutexLock lock(&done.mu);
-      ++done.pending;
-    }
-    Submit([&fn, &done, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      MutexLock lock(&done.mu);
-      if (--done.pending == 0) done.cv.NotifyAll();
-    });
-  }
-
-  MutexLock lock(&done.mu);
-  while (done.pending != 0) done.cv.Wait(&done.mu);
-}
-
-void ThreadPool::ParallelForDynamic(
-    std::size_t count, const std::function<void(std::size_t)>& fn) {
   std::atomic<std::size_t> next{0};
   auto drain = [&next, count, &fn] {
     for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
       fn(i);
     }
   };
-  const std::size_t helpers = count == 0 ? 0 : std::min(count - 1,
-                                                        num_threads());
+  // The caller drains too, so count - 1 helpers already cover every index.
+  const std::size_t helpers =
+      count == 0 ? 0 : std::min(count - 1, num_threads());
   Completion done;
   {
     MutexLock lock(&done.mu);

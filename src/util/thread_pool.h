@@ -10,7 +10,7 @@
 /// hands every session the same pool): ParallelFor tracks completion per
 /// call, so a caller waits only for its own tasks — never for work another
 /// client enqueued — and concurrent ParallelFor calls simply interleave
-/// their chunks in the submission queue.
+/// their helper tasks in the submission queue.
 ///
 /// Lock discipline (machine-checked by the Clang thread-safety analysis,
 /// see util/annotations.h): mu_ guards the submission queue, the in-flight
@@ -48,23 +48,16 @@ class ThreadPool {
   /// tasks, when the pool is shared.
   void WaitIdle() JIGSAW_EXCLUDES(mu_);
 
-  /// Runs fn(i) for i in [0, count) across the pool and waits. Chunked to
-  /// keep queue overhead low for fine-grained bodies. Completion is
+  /// Runs fn(i) for i in [0, count) and waits. Indices are handed out one
+  /// at a time, in index order, to the calling thread and up to
+  /// num_threads() workers, so uneven bodies balance (list the longest
+  /// first) and the caller works instead of sitting idle. Completion is
   /// tracked per call: safe to invoke from several client threads on the
-  /// same pool concurrently (each call returns as soon as its own chunks
+  /// same pool concurrently (each call returns as soon as its own indices
   /// finish). Must not be called from inside a pool task — a worker
   /// blocked here would deadlock the pool it is supposed to drain.
   void ParallelFor(std::size_t count,
                    const std::function<void(std::size_t)>& fn)
-      JIGSAW_EXCLUDES(mu_);
-
-  /// Runs fn(i) for i in [0, count) and waits, handing indices out one
-  /// at a time in index order to the calling thread and up to
-  /// num_threads() workers — for uneven task lists (put the longest
-  /// first) where the caller would otherwise sit idle. Same rules as
-  /// ParallelFor: safe from concurrent clients, never from a pool task.
-  void ParallelForDynamic(std::size_t count,
-                          const std::function<void(std::size_t)>& fn)
       JIGSAW_EXCLUDES(mu_);
 
   std::size_t num_threads() const { return workers_.size(); }

@@ -188,6 +188,41 @@ std::vector<Case> GeneratedCases() {
     }
     cases.push_back(std::move(c));
   }
+  {
+    // A bucket edge falls between -0.0 and +0.0 (the column's key range
+    // starts 2^62 below +0.0's key), and the ranks land in the bucket of
+    // +0.0 and positive subnormals: its refinement starts at +0.0 while
+    // the -0.0s still pass the floating-point range test.
+    Case c{"refine_from_plus_zero", pdb::ValueType::kDouble, {}};
+    Lcg rng(10);
+    // Just above -2.0: OrderKey is exactly 2^62.
+    const double low = -std::bit_cast<double>(0x3FFF'FFFF'FFFF'FFFFULL);
+    for (std::size_t i = 0; i < kLarge; ++i) {
+      const double u = rng.Next();
+      c.values.push_back(
+          u < 0.1   ? low
+          : u < 0.2 ? -0.0
+          : u < 0.3 ? 0.0
+                    : std::bit_cast<double>(std::uint64_t{1} + i % 60000));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // The mirror: the ranks land among negative subnormals and -0.0, so
+    // every refinement ends at -0.0 while the +0.0s pass the range test.
+    Case c{"refine_to_minus_zero", pdb::ValueType::kDouble, {}};
+    Lcg rng(11);
+    for (std::size_t i = 0; i < kLarge; ++i) {
+      const double u = rng.Next();
+      c.values.push_back(
+          i == 0    ? -std::bit_cast<double>((std::uint64_t{1} << 53) - 1)
+          : u < 0.1 ? 2.0
+          : u < 0.2 ? 0.0
+          : u < 0.3 ? -0.0
+                    : -std::bit_cast<double>(std::uint64_t{1} + i % 60000));
+    }
+    cases.push_back(std::move(c));
+  }
   return cases;
 }
 

@@ -1,7 +1,7 @@
 // Tests for the worker pool underpinning parallel sample evaluation and
-// the parallel sweep: ParallelFor / ParallelForDynamic index coverage,
-// the dynamic fan-out's use of the calling thread, WaitIdle blocking
-// semantics, and clean shutdown while producers are still submitting.
+// the parallel sweep: ParallelFor index coverage and its use of the
+// calling thread, WaitIdle blocking semantics, and clean shutdown while
+// producers are still submitting.
 //
 // ---------------------------------------------------------------------------
 // Negative-compile reference: what the thread-safety annotations reject
@@ -43,7 +43,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -123,69 +122,61 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   EXPECT_EQ(pool.num_threads(), 1u);
 }
 
-/// Both fan-outs share one contract: every index exactly once, then
-/// return. ParallelForDynamic also runs indices on the calling thread.
-using ForEachIndex = void (ThreadPool::*)(
-    std::size_t, const std::function<void(std::size_t)>&);
-constexpr ForEachIndex kFanOuts[] = {&ThreadPool::ParallelFor,
-                                     &ThreadPool::ParallelForDynamic};
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  for (ForEachIndex fan_out : kFanOuts) {
-    constexpr std::size_t kCount = 10'000;
-    std::vector<std::atomic<int>> hits(kCount);
-    (pool.*fan_out)(kCount, [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < kCount; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-    }
+  constexpr std::size_t kCount = 10'000;
+  std::vector<std::atomic<int>> hits(kCount);
+  pool.ParallelFor(kCount, [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (std::size_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(ThreadPoolTest, ParallelForHandlesEmptyAndTinyRanges) {
   ThreadPool pool(8);
-  for (ForEachIndex fan_out : kFanOuts) {
-    std::atomic<std::size_t> calls{0};
-    (pool.*fan_out)(0, [&](std::size_t) { calls.fetch_add(1); });
-    EXPECT_EQ(calls.load(), 0u);
-    (pool.*fan_out)(1, [&](std::size_t i) {
-      EXPECT_EQ(i, 0u);
-      calls.fetch_add(1);
-    });
-    EXPECT_EQ(calls.load(), 1u);
-    // Fewer indices than threads: every index still runs exactly once.
-    std::vector<std::atomic<int>> hits(3);
-    (pool.*fan_out)(3, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
+  std::atomic<std::size_t> calls{0};
+  pool.ParallelFor(0, [&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0u);
+  pool.ParallelFor(1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    calls.fetch_add(1);
+  });
+  EXPECT_EQ(calls.load(), 1u);
+  // Fewer indices than threads: every index still runs exactly once.
+  std::vector<std::atomic<int>> hits(3);
+  pool.ParallelFor(3, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForIsReentrantAcrossCalls) {
   ThreadPool pool(2);
-  for (ForEachIndex fan_out : kFanOuts) {
-    for (int round = 0; round < 50; ++round) {
-      std::atomic<std::size_t> sum{0};
-      (pool.*fan_out)(100, [&](std::size_t i) {
-        sum.fetch_add(i, std::memory_order_relaxed);
-      });
-      EXPECT_EQ(sum.load(), 4950u);
-    }
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<std::size_t> sum{0};
+    pool.ParallelFor(100, [&](std::size_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), 4950u);
   }
 }
 
-TEST(ThreadPoolTest, ParallelForDynamicRunsIndicesOnTheCaller) {
-  // The only worker is busy, so every index must run on the caller; the
-  // call returns once the worker frees up and its helper task ends.
+TEST(ThreadPoolTest, ParallelForRunsIndicesOnTheCallerInOrder) {
+  // The only worker is busy, so every index must run on the caller, in
+  // index order; the call returns once the worker frees up and its
+  // helper task ends.
   ThreadPool pool(1);
   std::atomic<bool> release{false};
   pool.Submit([&release] {
     while (!release.load()) std::this_thread::yield();
   });
   std::atomic<int> done{0};
+  std::vector<std::size_t> order;  // written by the caller thread only
   std::thread caller([&] {
-    pool.ParallelForDynamic(10, [&](std::size_t) { done.fetch_add(1); });
+    pool.ParallelFor(10, [&](std::size_t i) {
+      order.push_back(i);
+      done.fetch_add(1);
+    });
   });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -195,6 +186,8 @@ TEST(ThreadPoolTest, ParallelForDynamicRunsIndicesOnTheCaller) {
   EXPECT_EQ(done.load(), 10);
   release.store(true);
   caller.join();
+  const std::vector<std::size_t> expected = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPoolTest, WaitIdleBlocksUntilSubmittedWorkFinishes) {
@@ -260,7 +253,7 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallersCompleteIndependently) {
   // on ONE shared pool, and each call returns exactly when ITS items are
   // done — never waiting on (or racing with) a sibling's in-flight work.
   constexpr int kCallers = 8;
-  constexpr std::size_t kItems = 257;  // straddles chunk boundaries
+  constexpr std::size_t kItems = 257;
   constexpr int kRounds = 5;
   ThreadPool pool(4);
   std::vector<std::vector<std::atomic<int>>> hits(kCallers);
@@ -273,8 +266,7 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallersCompleteIndependently) {
     callers.emplace_back([&, c] {
       bool complete = true;
       for (int round = 0; round < kRounds; ++round) {
-        // Odd callers fan out dynamically, so both kinds interleave.
-        (pool.*kFanOuts[c % 2])(kItems, [&, c](std::size_t i) {
+        pool.ParallelFor(kItems, [&, c](std::size_t i) {
           hits[c][i].fetch_add(1, std::memory_order_relaxed);
         });
         // Per-call completion: after ParallelFor returns, every one of
