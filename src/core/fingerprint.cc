@@ -28,12 +28,13 @@ std::string Fingerprint::ToString() const {
 
 Fingerprint ComputeFingerprint(const SimFunction& fn,
                                std::span<const double> params,
-                               const SeedVector& seeds, std::size_t m) {
+                               const SeedVector& seeds, std::size_t m,
+                               FingerprintMemo* memo) {
   JIGSAW_CHECK_MSG(m <= seeds.size(),
                    "fingerprint size " << m << " exceeds seed vector size "
                                        << seeds.size());
   std::vector<double> values(m);
-  fn.SampleBatch(params, 0, seeds, values);
+  fn.SampleFingerprint(params, seeds, values, memo);
   return Fingerprint(std::move(values));
 }
 

@@ -53,8 +53,11 @@ class Fingerprint {
 /// Evaluates the first `m` seeded samples of `fn` at `params` — the
 /// fingerprint doubles as the first m rounds of the full simulation, so
 /// this work is never wasted (Section 3.1, "Using Fingerprints").
+/// A `memo` bound to `seeds` and `m` lets black-box calls seen earlier in
+/// the run replay their draws; any other memo is not consulted.
 Fingerprint ComputeFingerprint(const SimFunction& fn,
                                std::span<const double> params,
-                               const SeedVector& seeds, std::size_t m);
+                               const SeedVector& seeds, std::size_t m,
+                               FingerprintMemo* memo = nullptr);
 
 }  // namespace jigsaw

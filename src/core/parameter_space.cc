@@ -7,32 +7,49 @@
 
 namespace jigsaw {
 
+namespace {
+
+/// Grid size of a RANGE. Values are index-stepped (lo + i*step, see
+/// ValueAt) rather than accumulated (v += step): accumulation never
+/// terminates when lo + step rounds back to lo (e.g. lo=1e16, step=1) and
+/// drifts over long fractional-step grids.
+std::size_t RangeCount(const RangeDomain& range) {
+  JIGSAW_CHECK_MSG(range.step > 0.0, "non-positive RANGE step");
+  // Tolerate floating point drift at the upper bound.
+  const double eps = range.step * 1e-9;
+  const double span = (range.hi + eps - range.lo) / range.step;
+  if (!std::isfinite(span) || span < 0.0) return 0;  // empty/degenerate
+  // ParameterSpace::Add and the MONTECARLO OVER binder bound the span
+  // with clean errors; a directly-constructed def violating it is a
+  // programming bug (the cast below is UB past SIZE_MAX).
+  JIGSAW_CHECK_MSG(span < 1e15, "RANGE spans too many values");
+  return static_cast<std::size_t>(span) + 1;
+}
+
+}  // namespace
+
 std::vector<double> ParameterDef::Values() const {
+  std::vector<double> out(cardinality());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = ValueAt(i);
+  return out;
+}
+
+std::size_t ParameterDef::cardinality() const {
   if (const auto* range = std::get_if<RangeDomain>(&domain)) {
-    std::vector<double> out;
-    JIGSAW_CHECK_MSG(range->step > 0.0, "non-positive RANGE step");
-    // Tolerate floating point drift at the upper bound. Values are
-    // index-stepped (lo + i*step) rather than accumulated (v += step):
-    // accumulation never terminates when lo + step rounds back to lo
-    // (e.g. lo=1e16, step=1) and drifts over long fractional-step grids.
-    const double eps = range->step * 1e-9;
-    const double span = (range->hi + eps - range->lo) / range->step;
-    if (!std::isfinite(span) || span < 0.0) return out;  // empty/degenerate
-    // ParameterSpace::Add and the MONTECARLO OVER binder bound the span
-    // with clean errors; a directly-constructed def violating it is a
-    // programming bug (the cast below is UB past SIZE_MAX).
-    JIGSAW_CHECK_MSG(span < 1e15, "RANGE spans too many values");
-    const auto count = static_cast<std::size_t>(span) + 1;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      out.push_back(range->lo + static_cast<double>(i) * range->step);
-    }
-    return out;
+    return RangeCount(*range);
   }
   if (const auto* set = std::get_if<SetDomain>(&domain)) {
-    return set->values;
+    return set->values.size();
   }
-  return {};  // CHAIN: not enumerated
+  return 0;  // CHAIN: not enumerated
+}
+
+double ParameterDef::ValueAt(std::size_t i) const {
+  JIGSAW_DCHECK(i < cardinality());
+  if (const auto* range = std::get_if<RangeDomain>(&domain)) {
+    return range->lo + static_cast<double>(i) * range->step;
+  }
+  return std::get<SetDomain>(domain).values[i];
 }
 
 Status ParameterSpace::Add(ParameterDef def) {
@@ -101,9 +118,8 @@ std::vector<double> ParameterSpace::ValuationAt(std::size_t idx) const {
       out[i] = std::get<ChainDomain>(d.domain).initial;
       continue;
     }
-    const auto values = d.Values();
-    const std::size_t card = values.size();
-    out[i] = values[remaining % card];
+    const std::size_t card = d.cardinality();
+    out[i] = d.ValueAt(remaining % card);
     remaining /= card;
   }
   JIGSAW_CHECK_MSG(remaining == 0, "valuation index out of range");

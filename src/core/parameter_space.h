@@ -53,7 +53,11 @@ struct ParameterDef {
   /// Materializes the discrete domain (empty for CHAIN parameters).
   std::vector<double> Values() const;
 
-  std::size_t cardinality() const { return Values().size(); }
+  /// Number of domain values (0 for CHAIN), without materializing them.
+  std::size_t cardinality() const;
+
+  /// Domain value i, bit-identical to Values()[i]; i < cardinality().
+  double ValueAt(std::size_t i) const;
 };
 
 /// An ordered collection of parameters plus cartesian-product enumeration.

@@ -17,6 +17,8 @@
 
 namespace jigsaw {
 
+class FingerprintMemo;
+
 class SimFunction {
  public:
   virtual ~SimFunction() = default;
@@ -41,6 +43,17 @@ class SimFunction {
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i] = Sample(params, sample_begin + i, seeds);
     }
+  }
+
+  /// The fingerprint samples [0, out.size()): entry i must equal
+  /// SampleBatch(params, 0, seeds, out)'s. `memo`, when non-null, may
+  /// replay black-box calls whose fingerprint draws it already holds
+  /// (see fingerprint_memo.h); the default ignores it.
+  virtual void SampleFingerprint(std::span<const double> params,
+                                 const SeedVector& seeds,
+                                 std::span<double> out,
+                                 FingerprintMemo* /*memo*/) const {
+    SampleBatch(params, 0, seeds, out);
   }
 };
 

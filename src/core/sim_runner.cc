@@ -16,7 +16,8 @@ SimulationRunner::SimulationRunner(const RunConfig& config,
       basis_store_(finder_, config.index_kind, config.tolerance,
                    config.quantum,
                    /*thread_safe=*/config.num_threads > 1),
-      published_store_(published_store) {
+      published_store_(published_store),
+      memo_(seeds_, config.fingerprint_size) {
   JIGSAW_CHECK_MSG(config_.fingerprint_size <= config_.num_samples,
                    "fingerprint size m must be <= sample count n");
   JIGSAW_CHECK_MSG(config_.fingerprint_size >= 2,
@@ -88,13 +89,12 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
       config_.use_fingerprints ? config_.fingerprint_size : 0;
 
   PointResult result;
-  Estimator estimator(config_.keep_samples, config_.histogram_bins);
 
   if (config_.use_fingerprints) {
     // The fingerprint is the first m rounds of this point's simulation.
-    Fingerprint fp = ComputeFingerprint(fn, params, seeds_, m);
+    Fingerprint fp = ComputeFingerprint(fn, params, seeds_, m, &memo_);
     stats_.blackbox_invocations += m;
-    estimator.AddSpan(fp.values());
+    stats_.fingerprint_memo_hits = memo_.hits();
 
     if (auto sm = FindPublishedOrPrivateMatch(fp)) {
       // Reuse: map the basis metrics into this point's domain. The
@@ -122,6 +122,8 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
     // reallocates on the hot loop.
     scratch_.resize(n - m);
     SampleRange(fn, params, m, scratch_);
+    Estimator estimator(config_.keep_samples, config_.histogram_bins);
+    estimator.AddSpan(fp.values());
     estimator.AddSpan(scratch_);
     stats_.blackbox_invocations += n - m;
     result.metrics = estimator.Finalize();
@@ -135,6 +137,7 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
   // Naive baseline: generate everything.
   scratch_.resize(n);
   SampleRange(fn, params, 0, scratch_);
+  Estimator estimator(config_.keep_samples, config_.histogram_bins);
   estimator.AddSpan(scratch_);
   stats_.blackbox_invocations += n;
   result.metrics = estimator.Finalize();

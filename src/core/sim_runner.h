@@ -26,6 +26,7 @@
 #include "util/thread_pool.h"
 
 #include "core/basis_store.h"
+#include "core/fingerprint_memo.h"
 #include "core/metrics.h"
 #include "core/parameter_space.h"
 #include "core/run_config.h"
@@ -39,7 +40,12 @@ namespace jigsaw {
 struct RunnerStats {
   std::uint64_t points_evaluated = 0;
   std::uint64_t points_reused = 0;
+  /// Column samples the run accounted for (fingerprint and tail), whether
+  /// or not the fingerprint memo spared some model calls behind them.
   std::uint64_t blackbox_invocations = 0;
+  /// Model calls inside fingerprints that the runner's FingerprintMemo
+  /// answered without evaluating the model.
+  std::uint64_t fingerprint_memo_hits = 0;
 };
 
 struct PointResult {
@@ -66,7 +72,9 @@ class SimulationRunner {
                             MappingFinderPtr finder = nullptr,
                             BasisStore* published_store = nullptr);
 
-  /// Evaluates one parameter point of `fn` (Algorithm 3 + estimator).
+  /// Evaluates one parameter point of `fn` (Algorithm 3 + estimator). The
+  /// fingerprint goes through the runner's FingerprintMemo, so model
+  /// calls repeated across points replay their fingerprint draws.
   PointResult RunPoint(const SimFunction& fn,
                        std::span<const double> params);
 
@@ -79,6 +87,8 @@ class SimulationRunner {
   ///
   ///   1. fingerprints of all points evaluate in parallel (each sample is
   ///      a pure function of its seed, so scheduling cannot perturb it);
+  ///      they bypass the fingerprint memo, which is not shared across
+  ///      pool tasks;
   ///   2. match/miss decisions replay serially in point-index order
   ///      against the basis store — exactly the order the serial sweep
   ///      uses, so reuse decisions, basis ids and store stats coincide;
@@ -133,6 +143,8 @@ class SimulationRunner {
   BasisStore basis_store_;
   BasisStore* published_store_ = nullptr;
   RunnerStats stats_;
+  /// Fingerprint draws of the run's model calls, bound to seeds_ and m.
+  FingerprintMemo memo_;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;  ///< owned_pool_ or config_.shared_pool
   /// Reusable sample buffer for the serial per-point path (the parallel

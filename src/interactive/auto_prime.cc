@@ -22,21 +22,21 @@ Result<std::size_t> EnumIndexOf(const ParameterSpace& space,
   for (std::size_t i = 0; i < space.num_params(); ++i) {
     const ParameterDef& def = space.def(i);
     if (def.is_chain()) continue;
-    const auto values = def.Values();
-    std::size_t pos = values.size();
-    for (std::size_t v = 0; v < values.size(); ++v) {
-      if (values[v] == valuation[i]) {
+    const std::size_t card = def.cardinality();
+    std::size_t pos = card;
+    for (std::size_t v = 0; v < card; ++v) {
+      if (def.ValueAt(v) == valuation[i]) {
         pos = v;
         break;
       }
     }
-    if (pos == values.size()) {
+    if (pos == card) {
       return Status::InvalidArgument(StrFormat(
           "sweep valuation pins @%s to %s, which is not in its declared "
           "domain; off-grid points have no session point to prime",
           def.name.c_str(), DoubleToString(valuation[i]).c_str()));
     }
-    idx = idx * values.size() + pos;
+    idx = idx * card + pos;
   }
   return idx;
 }

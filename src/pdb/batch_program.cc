@@ -727,12 +727,18 @@ Status BatchProgram::Exec(const Context& ctx, std::size_t n,
             !lane_param_conflict) {
           // Arguments are identical across lanes: one EvalBatch over the
           // whole seed span (bit-identical to per-lane InvokeSeeded by
-          // the EvalBatch contract).
+          // the EvalBatch contract), or its replay from the run's memo
+          // when the span is the fingerprint.
           s.argv.clear();
           for (std::uint32_t arg : op.args) s.argv.push_back(val(arg)[0]);
-          op.model->EvalBatch(s.argv,
-                              ctx.seeds->span(ctx.sample_begin, n),
-                              site, std::span<double>(d, n));
+          if (ctx.memo != nullptr &&
+              ctx.memo->Covers(ctx.seeds, ctx.sample_begin, n)) {
+            ctx.memo->Eval(op.model, s.argv, site, std::span<double>(d, n));
+          } else {
+            op.model->EvalBatch(s.argv,
+                                ctx.seeds->span(ctx.sample_begin, n),
+                                site, std::span<double>(d, n));
+          }
           std::fill(dn, dn + n, std::uint8_t{0});
         } else {
           for_active([&](std::size_t l) {

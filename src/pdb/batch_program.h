@@ -13,9 +13,10 @@
 ///    short-circuit rules hold per lane (untaken operands are neither
 ///    evaluated nor allowed to raise);
 ///  * model calls dispatch through BlackBox::EvalBatch when their
-///    arguments are lane-uniform, and otherwise re-derive the exact
-///    per-sample (seed, call_site, stream_salt) stream the interpreter
-///    would have used.
+///    arguments are lane-uniform (through the run's FingerprintMemo when
+///    the context carries one and covers the span), and otherwise
+///    re-derive the exact per-sample (seed, call_site, stream_salt)
+///    stream the interpreter would have used.
 ///
 /// The compiled program is **bit-identical** to the Expr::Eval walk: the
 /// same doubles, the same draws, and — on failure — the same
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fingerprint_memo.h"
 #include "models/black_box.h"
 #include "pdb/expr.h"
 #include "random/seed_vector.h"
@@ -125,6 +127,10 @@ class BatchProgram {
     std::size_t sample_begin = 0;
     const SeedVector* seeds = nullptr;
     std::uint64_t stream_salt = 0;
+    /// When set and the span is the memo's fingerprint (its own seed
+    /// vector, samples [0, m)), lane-uniform model calls go through it
+    /// (replayed when seen before). Per-lane calls never consult it.
+    FingerprintMemo* memo = nullptr;
   };
 
   std::size_t num_columns() const { return columns_.size(); }

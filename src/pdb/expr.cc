@@ -167,8 +167,16 @@ class BinaryExpr final : public Expr {
   }
 
   std::string ToString() const override {
-    return "(" + left_->ToString() + " " + BinaryOpName(op_) + " " +
-           right_->ToString() + ")";
+    // Appended rather than built from a "(" + std::string temporary,
+    // which trips GCC 12's -Wrestrict false positive in libstdc++.
+    std::string out = "(";
+    out += left_->ToString();
+    out += " ";
+    out += BinaryOpName(op_);
+    out += " ";
+    out += right_->ToString();
+    out += ")";
+    return out;
   }
 
   void Accept(ExprVisitor& v) const override {

@@ -24,7 +24,11 @@ std::string Schema::ToString() const {
   for (const auto& c : columns_) {
     parts.push_back(c.name + ":" + ValueTypeName(c.type));
   }
-  return "(" + Join(parts, ", ") + ")";
+  // Appended, not "(" + std::string: see BinaryExpr::ToString.
+  std::string out = "(";
+  out += Join(parts, ", ");
+  out += ")";
+  return out;
 }
 
 bool ValueFitsColumn(const Value& v, ValueType declared) {

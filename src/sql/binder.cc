@@ -280,17 +280,32 @@ class ColumnSimFunction final : public SimFunction {
   void SampleBatch(std::span<const double> params, std::size_t sample_begin,
                    const SeedVector& seeds,
                    std::span<double> out) const override {
+    SampleSpan(params, sample_begin, seeds, out, /*memo=*/nullptr);
+  }
+
+  /// The compiled program's lane-uniform model calls replay their
+  /// fingerprint draws from `memo`; the interpreted twin never does.
+  void SampleFingerprint(std::span<const double> params,
+                         const SeedVector& seeds, std::span<double> out,
+                         FingerprintMemo* memo) const override {
+    SampleSpan(params, 0, seeds, out, memo);
+  }
+
+ private:
+  void SampleSpan(std::span<const double> params, std::size_t sample_begin,
+                  const SeedVector& seeds, std::span<double> out,
+                  FingerprintMemo* memo) const {
     if (!program_->compiled()) {
       SimFunction::SampleBatch(params, sample_begin, seeds, out);
       return;
     }
     Status s = program_->EvalColumnSpan(column_, params, sample_begin,
-                                        seeds, /*stream_salt=*/0, {}, out);
+                                        seeds, /*stream_salt=*/0, {}, out,
+                                        memo);
     JIGSAW_CHECK_MSG(s.ok(),
                      "column '" << label_ << "': " << s.ToString());
   }
 
- private:
   std::shared_ptr<const RowProgram> program_;
   std::size_t column_;
   std::string label_;
@@ -381,7 +396,7 @@ Status RowProgram::EvalColumnSpan(
     std::size_t j, std::span<const double> params, std::size_t sample_begin,
     const SeedVector& seeds, std::uint64_t stream_salt,
     std::span<const pdb::BatchProgram::LaneParam> lane_params,
-    std::span<double> out) const {
+    std::span<double> out, FingerprintMemo* memo) const {
   if (compiled()) {
     pdb::BatchProgram::Context ctx;
     ctx.params = params;
@@ -389,6 +404,7 @@ Status RowProgram::EvalColumnSpan(
     ctx.sample_begin = sample_begin;
     ctx.seeds = &seeds;
     ctx.stream_salt = stream_salt;
+    ctx.memo = memo;
     thread_local pdb::BatchScratch scratch;
     return batch->RunColumn(j, ctx, out.size(), out, scratch);
   }

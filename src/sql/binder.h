@@ -68,13 +68,15 @@ struct RowProgram {
   /// a scalar EvalColumn loop. `lane_params` overrides parameters with
   /// per-lane values (the chain executor's per-instance state). Entry i
   /// is bit-identical to EvalColumn at sample_begin + i, and the error
-  /// (if any) is the one the lowest failing sample would report.
+  /// (if any) is the one the lowest failing sample would report. `memo`
+  /// reaches the compiled program's lane-uniform model calls; the
+  /// interpreter ignores it.
   Status EvalColumnSpan(
       std::size_t j, std::span<const double> params,
       std::size_t sample_begin, const SeedVector& seeds,
       std::uint64_t stream_salt,
       std::span<const pdb::BatchProgram::LaneParam> lane_params,
-      std::span<double> out) const;
+      std::span<double> out, FingerprintMemo* memo = nullptr) const;
 
   /// Span twin of EvalAllColumns: fills out[c][i] with column c of sample
   /// sample_begin + i, for i in [0, count).

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -86,6 +87,30 @@ TEST(ParameterSpaceTest, DegenerateHighMagnitudeRangeTerminates) {
   // expansion must still produce exactly the points the span implies.
   ParameterDef def{"w", RangeDomain{1e16, 1e16, 1}};
   EXPECT_EQ(def.Values(), (std::vector<double>{1e16}));
+}
+
+TEST(ParameterSpaceTest, ValueAtAndCardinalityMatchValuesBitwise) {
+  // ValuationAt reads domains through ValueAt/cardinality instead of
+  // materializing them; both must agree with Values() to the bit,
+  // including fractional steps, drift at the upper bound and sets.
+  const std::vector<ParameterDef> defs = {
+      {"a", RangeDomain{0, 52, 4}},
+      {"b", RangeDomain{0.1, 1.0, 0.1}},
+      {"c", RangeDomain{-3.5, 7.25, 0.35}},
+      {"d", RangeDomain{1e16, 1e16, 1}},
+      {"e", SetDomain{{12, -0.0, 36, 0.0}}},
+      {"f", ChainDomain{"f", "a", 1.0}},
+  };
+  for (const ParameterDef& def : defs) {
+    SCOPED_TRACE(def.name);
+    const std::vector<double> values = def.Values();
+    ASSERT_EQ(def.cardinality(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(def.ValueAt(i)),
+                std::bit_cast<std::uint64_t>(values[i]))
+          << "value " << i;
+    }
+  }
 }
 
 TEST(ParameterSpaceTest, IndexOfIsCaseInsensitive) {
