@@ -13,10 +13,13 @@ namespace jigsaw {
 std::optional<BasisMatch> BasisStore::FindMatch(const Fingerprint& probe) {
   MutexLockMaybe lock(&mu_, thread_safe_);
   ++stats_.lookups;
-  index_->GetCandidates(probe, &candidate_buffer_);
+  const FingerprintAnchor anchor = probe.FirstTwoDistinct(tol_);
+  index_->GetCandidates(probe, anchor, &candidate_buffer_);
   for (BasisId id : candidate_buffer_) {
     ++stats_.candidates_tested;
-    MappingPtr m = finder_->Find(bases_[id].fingerprint, probe, tol_);
+    const BasisDistribution& basis = bases_[id];
+    MappingPtr m = finder_->FindAnchored(basis.fingerprint, basis.anchor,
+                                         probe, anchor, tol_);
     if (m != nullptr) {
       ++stats_.hits;
       ++bases_[id].reuse_count;
@@ -32,8 +35,10 @@ const BasisDistribution& BasisStore::Insert(Fingerprint fp,
                                             OutputMetrics metrics) {
   MutexLockMaybe lock(&mu_, thread_safe_);
   const auto id = static_cast<BasisId>(bases_.size());
-  index_->Insert(id, fp);
-  bases_.push_back(BasisDistribution{id, std::move(fp), std::move(metrics),
+  const FingerprintAnchor anchor = fp.FirstTwoDistinct(tol_);
+  index_->Insert(id, fp, anchor);
+  bases_.push_back(BasisDistribution{id, std::move(fp), anchor,
+                                     std::move(metrics),
                                      /*reuse_count=*/0});
   return bases_.back();
 }

@@ -40,6 +40,9 @@ namespace jigsaw {
 struct BasisDistribution {
   BasisId id = 0;
   Fingerprint fingerprint;
+  /// fingerprint.FirstTwoDistinct(tol), computed once at Insert so
+  /// lookups against a published store only read it.
+  FingerprintAnchor anchor;
   OutputMetrics metrics;
   /// How many parameter points have reused this basis.
   std::uint64_t reuse_count = 0;

@@ -6,8 +6,7 @@
 
 namespace jigsaw {
 
-std::optional<std::pair<std::size_t, std::size_t>>
-Fingerprint::FirstTwoDistinct(double tol) const {
+FingerprintAnchor Fingerprint::FirstTwoDistinct(double tol) const {
   if (values_.size() < 2) return std::nullopt;
   const double first = values_[0];
   for (std::size_t i = 1; i < values_.size(); ++i) {

@@ -21,6 +21,13 @@
 
 namespace jigsaw {
 
+/// Indices of a fingerprint's first two entries that differ by more than
+/// a relative tolerance, or nullopt when it is constant. The linear
+/// mapping class anchors both its normal form and Algorithm 2 on them, so
+/// the basis store computes a probe's once per lookup and a basis's once
+/// at insert.
+using FingerprintAnchor = std::optional<std::pair<std::size_t, std::size_t>>;
+
 class Fingerprint {
  public:
   Fingerprint() = default;
@@ -38,8 +45,7 @@ class Fingerprint {
   /// Indices of the first two entries that differ by more than `tol`
   /// (relative), or nullopt if the fingerprint is constant. Used both by
   /// FindLinearMapping and by the normalization index.
-  std::optional<std::pair<std::size_t, std::size_t>> FirstTwoDistinct(
-      double tol) const;
+  FingerprintAnchor FirstTwoDistinct(double tol) const;
 
   /// True if every entry equals the first within tolerance.
   bool IsConstant(double tol) const { return !FirstTwoDistinct(tol); }

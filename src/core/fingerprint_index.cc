@@ -45,16 +45,19 @@ namespace {
 /// Baseline: candidates = every basis, in insertion order.
 class ArrayIndex final : public FingerprintIndex {
  public:
+  explicit ArrayIndex(double tol) : FingerprintIndex(tol) {}
+
   const std::string& name() const override {
     static const std::string kName = "Array";
     return kName;
   }
 
-  void Insert(BasisId id, const Fingerprint&) override {
+  void Insert(BasisId id, const Fingerprint&,
+              const FingerprintAnchor&) override {
     ids_.push_back(id);
   }
 
-  void GetCandidates(const Fingerprint&,
+  void GetCandidates(const Fingerprint&, const FingerprintAnchor&,
                      std::vector<BasisId>* out) const override {
     *out = ids_;
   }
@@ -70,7 +73,7 @@ class ArrayIndex final : public FingerprintIndex {
 class NormalizationIndex final : public FingerprintIndex {
  public:
   NormalizationIndex(MappingFinderPtr finder, double tol, double quantum)
-      : finder_(std::move(finder)), tol_(tol), quantum_(quantum) {
+      : FingerprintIndex(tol), finder_(std::move(finder)), quantum_(quantum) {
     JIGSAW_CHECK_MSG(finder_->SupportsNormalization(),
                      "mapping class '" << finder_->class_name()
                                        << "' has no normal form");
@@ -81,29 +84,30 @@ class NormalizationIndex final : public FingerprintIndex {
     return kName;
   }
 
-  void Insert(BasisId id, const Fingerprint& fp) override {
-    buckets_[KeyOf(fp)].push_back(id);
+  void Insert(BasisId id, const Fingerprint& fp,
+              const FingerprintAnchor& anchor) override {
+    buckets_[KeyOf(fp, anchor)].push_back(id);
     ++size_;
   }
 
-  void GetCandidates(const Fingerprint& probe,
+  void GetCandidates(const Fingerprint& probe, const FingerprintAnchor& anchor,
                      std::vector<BasisId>* out) const override {
     out->clear();
-    auto it = buckets_.find(KeyOf(probe));
+    auto it = buckets_.find(KeyOf(probe, anchor));
     if (it != buckets_.end()) *out = it->second;
   }
 
   std::size_t size() const override { return size_; }
 
  private:
-  std::uint64_t KeyOf(const Fingerprint& fp) const {
-    auto nf = finder_->NormalForm(fp, tol_, quantum_);
-    JIGSAW_CHECK(nf.has_value());
-    return HashWords(*nf);
+  std::uint64_t KeyOf(const Fingerprint& fp,
+                      const FingerprintAnchor& anchor) const {
+    auto key = finder_->NormalFormHash(fp, anchor, tol(), quantum_);
+    JIGSAW_CHECK(key.has_value());
+    return *key;
   }
 
   MappingFinderPtr finder_;
-  double tol_;
   double quantum_;
   std::unordered_map<std::uint64_t, std::vector<BasisId>> buckets_;
   std::size_t size_ = 0;
@@ -115,17 +119,20 @@ class NormalizationIndex final : public FingerprintIndex {
 /// inverse", Section 3.2).
 class SortedSidIndex final : public FingerprintIndex {
  public:
+  explicit SortedSidIndex(double tol) : FingerprintIndex(tol) {}
+
   const std::string& name() const override {
     static const std::string kName = "SortedSID";
     return kName;
   }
 
-  void Insert(BasisId id, const Fingerprint& fp) override {
+  void Insert(BasisId id, const Fingerprint& fp,
+              const FingerprintAnchor&) override {
     buckets_[HashIds(SortedSidKey(fp))].push_back(id);
     ++size_;
   }
 
-  void GetCandidates(const Fingerprint& probe,
+  void GetCandidates(const Fingerprint& probe, const FingerprintAnchor&,
                      std::vector<BasisId>* out) const override {
     out->clear();
     auto key = SortedSidKey(probe);
@@ -151,12 +158,12 @@ std::unique_ptr<FingerprintIndex> MakeFingerprintIndex(
     IndexKind kind, MappingFinderPtr finder, double tol, double quantum) {
   switch (kind) {
     case IndexKind::kArray:
-      return std::make_unique<ArrayIndex>();
+      return std::make_unique<ArrayIndex>(tol);
     case IndexKind::kNormalization:
       return std::make_unique<NormalizationIndex>(std::move(finder), tol,
                                                   quantum);
     case IndexKind::kSortedSid:
-      return std::make_unique<SortedSidIndex>();
+      return std::make_unique<SortedSidIndex>(tol);
   }
   JIGSAW_CHECK_MSG(false, "unknown index kind");
   return nullptr;

@@ -35,18 +35,38 @@ const char* IndexKindName(IndexKind kind);
 
 class FingerprintIndex {
  public:
+  /// `tol` is the tolerance the anchors below are computed under.
+  explicit FingerprintIndex(double tol) : tol_(tol) {}
   virtual ~FingerprintIndex() = default;
 
   virtual const std::string& name() const = 0;
 
-  /// Registers a basis fingerprint under `id`.
-  virtual void Insert(BasisId id, const Fingerprint& fp) = 0;
+  /// Registers a basis fingerprint under `id`; `anchor` is
+  /// fp.FirstTwoDistinct(tol).
+  virtual void Insert(BasisId id, const Fingerprint& fp,
+                      const FingerprintAnchor& anchor) = 0;
 
-  /// Appends candidate basis ids for `probe` to `out` (cleared first).
+  /// Appends candidate basis ids for `probe` to `out` (cleared first);
+  /// `anchor` is probe.FirstTwoDistinct(tol).
   virtual void GetCandidates(const Fingerprint& probe,
+                             const FingerprintAnchor& anchor,
                              std::vector<BasisId>* out) const = 0;
 
+  /// The same, computing the anchor.
+  void Insert(BasisId id, const Fingerprint& fp) {
+    Insert(id, fp, fp.FirstTwoDistinct(tol_));
+  }
+  void GetCandidates(const Fingerprint& probe,
+                     std::vector<BasisId>* out) const {
+    GetCandidates(probe, probe.FirstTwoDistinct(tol_), out);
+  }
+
   virtual std::size_t size() const = 0;
+
+  double tol() const { return tol_; }
+
+ private:
+  double tol_;
 };
 
 /// Factory. `finder` supplies the normal form for kNormalization; `tol`

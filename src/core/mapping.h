@@ -98,6 +98,18 @@ class MappingFinder {
   virtual MappingPtr Find(const Fingerprint& from, const Fingerprint& to,
                           double tol) const = 0;
 
+  /// Find with both fingerprints' FirstTwoDistinct(tol) already computed
+  /// (the basis store keeps each basis's and computes the probe's once
+  /// per lookup). Must return what Find returns; the default ignores the
+  /// anchors.
+  virtual MappingPtr FindAnchored(const Fingerprint& from,
+                                  const FingerprintAnchor& /*from_anchor*/,
+                                  const Fingerprint& to,
+                                  const FingerprintAnchor& /*to_anchor*/,
+                                  double tol) const {
+    return Find(from, to, tol);
+  }
+
   /// True if every member of the class is monotone (Sorted-SID indexing is
   /// sound for the class, Section 3.2).
   virtual bool IsMonotone() const = 0;
@@ -110,6 +122,13 @@ class MappingFinder {
   /// share a normal form. nullopt when unsupported.
   virtual std::optional<std::vector<std::uint64_t>> NormalForm(
       const Fingerprint& fp, double tol, double quantum) const = 0;
+
+  /// HashWords(*NormalForm(fp, tol, quantum)) given fp's
+  /// FirstTwoDistinct(tol), or nullopt when unsupported. The default
+  /// materializes the normal form; classes may hash it as they go.
+  virtual std::optional<std::uint64_t> NormalFormHash(
+      const Fingerprint& fp, const FingerprintAnchor& anchor, double tol,
+      double quantum) const;
 };
 
 using MappingFinderPtr = std::shared_ptr<const MappingFinder>;
@@ -134,10 +153,20 @@ class LinearMappingFinder final : public MappingFinder {
   const std::string& class_name() const override;
   MappingPtr Find(const Fingerprint& from, const Fingerprint& to,
                   double tol) const override;
+  MappingPtr FindAnchored(const Fingerprint& from,
+                          const FingerprintAnchor& from_anchor,
+                          const Fingerprint& to,
+                          const FingerprintAnchor& to_anchor,
+                          double tol) const override;
   bool IsMonotone() const override { return true; }
   bool SupportsNormalization() const override { return true; }
   std::optional<std::vector<std::uint64_t>> NormalForm(
       const Fingerprint& fp, double tol, double quantum) const override;
+  /// Streams the normal form's words into the hash: no key vector.
+  std::optional<std::uint64_t> NormalFormHash(const Fingerprint& fp,
+                                              const FingerprintAnchor& anchor,
+                                              double tol,
+                                              double quantum) const override;
 
   static MappingFinderPtr Make();
   static MappingFinderPtr MakeStrict();

@@ -203,9 +203,25 @@ Result<OptimizeResult> Optimizer::Run(const Scenario& scenario,
   const std::size_t num_sweep = std::max<std::size_t>(
       split.sweep_space.NumPoints(), 1);
 
+  // The sweep valuations are the same for every group: build them once,
+  // one row of split.sweep_idx.size() values per sweep point (an empty
+  // sweep space has one empty row).
+  const std::size_t sweep_width = split.sweep_idx.size();
+  std::vector<double> sweep_vals;
+  sweep_vals.reserve(num_sweep * sweep_width);
+  if (split.sweep_space.NumPoints() > 0) {
+    for (std::size_t s = 0; s < num_sweep; ++s) {
+      const auto val = split.sweep_space.ValuationAt(s);
+      sweep_vals.insert(sweep_vals.end(), val.begin(), val.end());
+    }
+  }
+
   std::vector<double> full(scenario.params.num_params(), 0.0);
   for (std::size_t g = 0; g < num_groups; ++g) {
     const auto group_val = split.group_space.ValuationAt(g);
+    for (std::size_t i = 0; i < split.group_idx.size(); ++i) {
+      full[split.group_idx[i]] = group_val[i];
+    }
     GroupEvaluation eval;
     eval.group_valuation = group_val;
     eval.constraint_lhs.assign(spec.constraints.size(), 0.0);
@@ -216,14 +232,8 @@ Result<OptimizeResult> Optimizer::Run(const Scenario& scenario,
     }
 
     for (std::size_t s = 0; s < num_sweep; ++s) {
-      const auto sweep_val = split.sweep_space.NumPoints() > 0
-                                 ? split.sweep_space.ValuationAt(s)
-                                 : std::vector<double>{};
-      for (std::size_t i = 0; i < split.group_idx.size(); ++i) {
-        full[split.group_idx[i]] = group_val[i];
-      }
-      for (std::size_t i = 0; i < split.sweep_idx.size(); ++i) {
-        full[split.sweep_idx[i]] = sweep_val[i];
+      for (std::size_t i = 0; i < sweep_width; ++i) {
+        full[split.sweep_idx[i]] = sweep_vals[s * sweep_width + i];
       }
       // Evaluate each referenced column once per full valuation; the
       // runner's basis store makes repeats cheap.

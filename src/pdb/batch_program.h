@@ -12,11 +12,23 @@
 ///  * AND / OR / CASE compile to mask registers so the interpreter's
 ///    short-circuit rules hold per lane (untaken operands are neither
 ///    evaluated nor allowed to raise);
+///  * a CASE whose conditions and values can neither raise nor draw (no
+///    model call, division or parameter load) is instead lowered to
+///    unmasked straight-line code plus one kSelect per WHEN;
+///  * checks that cannot fire are not emitted: numeric checks on
+///    registers that can never hold NULL, and seed checks after an
+///    unmasked one (which already failed every lane it could);
 ///  * model calls dispatch through BlackBox::EvalBatch when their
 ///    arguments are lane-uniform (through the run's FingerprintMemo when
 ///    the context carries one and covers the span), and otherwise
 ///    re-derive the exact per-sample (seed, call_site, stream_salt)
 ///    stream the interpreter would have used.
+///
+/// Lane invariant: an op may touch lanes outside its mask (or lanes that
+/// already errored) only if it cannot raise or draw. Infallible ops that
+/// write a fresh register therefore compute every lane — their masked-out
+/// and errored lanes are never read — and the merge ops (kCopy,
+/// kBoolCast) blend by mask.
 ///
 /// The compiled program is **bit-identical** to the Expr::Eval walk: the
 /// same doubles, the same draws, and — on failure — the same
@@ -60,7 +72,8 @@ enum class BatchOpCode : std::uint8_t {
   kCmpNe,
   kNot,            ///< dst <- !AsBool(a), null propagates
   kBoolCast,       ///< dst <- AsBool(a) as 0/1, null propagates
-  kCopy,           ///< dst <- a (value + null flag)
+  kCopy,           ///< dst <- a (value + null flag) on the mask's lanes
+  kSelect,         ///< dst <- (a non-NULL and true) ? b : c
   kLogicSeed,      ///< dst.null <- a.null; dst.value <- imm (AND/OR seed)
   kMaskCopy,       ///< mask dst <- mask a (or all-active)
   kMaskWhereTrue,  ///< mask dst <- mask a && !null(b) && AsBool(b)
@@ -69,7 +82,7 @@ enum class BatchOpCode : std::uint8_t {
   kCheckSeeds,     ///< lane error when the context has no seed vector
   kCheckArgNumeric,///< lane error when model argument a is NULL
   kModelCall,      ///< dst <- model(args...) under per-lane streams
-  kCheckNumeric,   ///< lane error when a is NULL (output column check)
+  kCheckNumeric,   ///< lane error when a is NULL (output column b's check)
 };
 
 inline constexpr std::uint32_t kBatchNoMask = 0xffffffffu;
@@ -78,7 +91,8 @@ struct BatchOp {
   BatchOpCode code = BatchOpCode::kLoadConst;
   std::uint32_t dst = 0;  ///< value register, or mask register for mask ops
   std::uint32_t a = 0;    ///< operand register / parent mask / param index
-  std::uint32_t b = 0;    ///< second operand register / mask
+  std::uint32_t b = 0;    ///< second operand register / mask / column
+  std::uint32_t c = 0;    ///< third operand register (kSelect fallback)
   std::uint32_t mask = kBatchNoMask;  ///< active-lane mask (kBatchNoMask = all)
   double imm = 0.0;
   std::uint64_t call_site = 0;
@@ -93,8 +107,10 @@ struct BatchOp {
   std::string error;
 };
 
-/// Reusable per-thread evaluation buffers. Sized lazily by Run*; keep one
-/// per worker (e.g. thread_local) to avoid per-call allocation.
+/// Reusable per-thread evaluation buffers. Grown lazily by Run* (never
+/// shrunk, so alternating short and long spans do not re-initialize
+/// them); keep one per worker (e.g. thread_local) to avoid per-call
+/// allocation.
 class BatchScratch {
  public:
   BatchScratch() = default;
@@ -104,7 +120,9 @@ class BatchScratch {
   std::vector<double> values;        ///< num_regs x n
   std::vector<std::uint8_t> nulls;   ///< num_regs x n
   std::vector<std::uint8_t> masks;   ///< num_masks x n
-  std::vector<std::uint32_t> err;    ///< per lane: first erroring op index
+  /// Per lane: first erroring op index. Initialized at a call's first
+  /// error; meaningless while any_error is false.
+  std::vector<std::uint32_t> err;
   std::vector<double> argv;          ///< model-call argument gather
   bool any_error = false;
 };
@@ -157,15 +175,16 @@ class BatchProgram {
 
   struct ColumnInfo {
     std::uint32_t reg = 0;     ///< register holding the column value
-    std::size_t end_op = 0;    ///< ops [0, end_op) produce-and-check it
+    std::size_t end_op = 0;    ///< ops [0, end_op) produce (and check) it
     std::string name;
   };
 
-  /// Runs ops [0, end_op). With run_all_checks, every kCheckNumeric op
-  /// executes (EvalAllColumns semantics); otherwise only the final op
-  /// (column j's own check) does.
+  /// Runs ops [0, end_op). kCheckNumeric ops of every column run when
+  /// `check_column` is kAllColumns (EvalAllColumns semantics); otherwise
+  /// only column `check_column`'s own check does (EvalColumn semantics).
+  static constexpr std::size_t kAllColumns = static_cast<std::size_t>(-1);
   Status Exec(const Context& ctx, std::size_t n, std::size_t end_op,
-              bool run_all_checks, BatchScratch& scratch) const;
+              std::size_t check_column, BatchScratch& scratch) const;
 
   std::vector<BatchOp> ops_;
   std::vector<ColumnInfo> columns_;

@@ -41,9 +41,13 @@ inline std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t v) {
   return Mix64(seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2)));
 }
 
+/// Initial state of HashWords; streaming HashCombine(h, word) from it
+/// over a word sequence yields HashWords of that sequence.
+inline constexpr std::uint64_t kHashWordsSeed = 0x9e3779b97f4a7c15ULL;
+
 /// Hashes a vector of 64-bit words (e.g. quantized fingerprint entries).
 inline std::uint64_t HashWords(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = kHashWordsSeed;
   for (auto w : words) h = HashCombine(h, w);
   return h;
 }

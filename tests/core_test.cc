@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "core/sim_function.h"
 #include "models/cloud_models.h"
 #include "random/splitmix64.h"
+#include "util/hash.h"
 
 namespace jigsaw {
 namespace {
@@ -206,6 +208,36 @@ TEST(NormalFormTest, AllConstantsShareABucket) {
   auto nf1 = finder->NormalForm(FP({3, 3, 3}), kTol, 1e-6);
   auto nf2 = finder->NormalForm(FP({-8, -8, -8}), kTol, 1e-6);
   EXPECT_EQ(*nf1, *nf2);
+}
+
+TEST(NormalFormTest, AnchoredFormsMatchTheMaterializedOnes) {
+  // The basis store hashes normal forms as it goes and hands Algorithm 2
+  // precomputed anchors; both must agree exactly with the plain forms
+  // (constant, NaN-bearing, strict and extended finders included).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Fingerprint> fps = {
+      FP({1, 2, 3, 4}),      FP({5, 7, 9, 11}),  FP({3, 3, 3, 3}),
+      FP({-8, -8, -8, -8}),  FP({0, 1, 4, 9}),   FP({2, 2, 5, 2}),
+      FP({1, nan, 3, 4}),    FP({})};
+  for (const auto& finder :
+       {LinearMappingFinder::Make(), LinearMappingFinder::MakeStrict()}) {
+    for (const auto& a : fps) {
+      const FingerprintAnchor anchor = a.FirstTwoDistinct(kTol);
+      EXPECT_EQ(*finder->NormalFormHash(a, anchor, kTol, 1e-6),
+                HashWords(*finder->NormalForm(a, kTol, 1e-6)))
+          << a.ToString();
+      for (const auto& b : fps) {
+        const MappingPtr plain = finder->Find(a, b, kTol);
+        const MappingPtr anchored = finder->FindAnchored(
+            a, anchor, b, b.FirstTwoDistinct(kTol), kTol);
+        ASSERT_EQ(plain == nullptr, anchored == nullptr)
+            << a.ToString() << " -> " << b.ToString();
+        if (plain != nullptr) {
+          EXPECT_EQ(plain->ToString(), anchored->ToString());
+        }
+      }
+    }
+  }
 }
 
 TEST(SortedSidTest, InvariantUnderMonotoneIncreasingMaps) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -23,6 +24,7 @@
 #include "pdb/table.h"
 #include "pdb/value.h"
 #include "pdb/vg_table.h"
+#include "random/splitmix64.h"
 
 namespace jigsaw::pdb {
 namespace {
@@ -653,6 +655,471 @@ TEST(BatchProgramTest, UncompilableExpressionsReportReasons) {
   auto r2 = CompileBatchProgram({}, with_int, names);
   ASSERT_FALSE(r2.ok());
   EXPECT_NE(r2.status().message().find("INT literal"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// BatchProgram lowering edge cases: the select lowering of pure CASEs,
+// the mask lowering of the rest, and the checks the compiler elides
+// ---------------------------------------------------------------------------
+
+/// Runs column `j` over `lanes` (per-lane values of parameter 0) and
+/// returns its status; `out` receives the values.
+Status RunLanes(const BatchProgram& program, std::size_t j,
+                const std::vector<double>& lanes, const SeedVector* seeds,
+                std::vector<double>* out) {
+  BatchProgram::LaneParam lane_param{0, lanes};
+  BatchProgram::Context ctx;
+  ctx.params = std::vector<double>{1.0};
+  ctx.lane_params = std::span<const BatchProgram::LaneParam>(&lane_param, 1);
+  ctx.seeds = seeds;
+  BatchScratch scratch;
+  out->assign(lanes.size(), 0.0);
+  return program.RunColumn(j, ctx, lanes.size(), *out, scratch);
+}
+
+TEST(BatchProgramTest, DivisionByZeroInUntakenCaseBranchDoesNotRaise) {
+  // x is a plain alias of @d; the division keeps both CASEs on the mask
+  // lowering, so lanes with x = 0 (or -0) never divide.
+  auto x = MakeAliasRef(0, "x");
+  auto inv = MakeBinary(BinaryOp::kDiv, MakeLiteral(Value(1.0)), x);
+  auto is_zero = MakeBinary(BinaryOp::kEq, x, MakeLiteral(Value(0.0)));
+  std::vector<ExprPtr> outer = {
+      MakeParamRef(0, "d"),
+      MakeCase({{is_zero, MakeLiteral(Value(0.0))}}, inv),
+      MakeCase({{MakeNot(is_zero), inv}}, MakeLiteral(Value(-1.0)))};
+  std::vector<std::string> names = {"x", "else_divides", "then_divides"};
+  auto compiled = CompileBatchProgram({}, outer, names);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+
+  SeedVector seeds(1, 8);
+  const std::vector<double> lanes = {2, 0, -4, -0.0, 0.5, 0, 8, -0.0};
+  for (std::size_t j : {1u, 2u}) {
+    std::vector<double> got;
+    Status s = RunLanes(*compiled.value(), j, lanes, &seeds, &got);
+    ASSERT_TRUE(s.ok()) << "column " << j << ": " << s.ToString();
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      const std::vector<double> params = {lanes[k]};
+      auto ref = RefEvalColumn({}, outer, names, j, params, k, seeds, 0);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                std::bit_cast<std::uint64_t>(ref.value()))
+          << "column " << j << " lane " << k;
+    }
+  }
+}
+
+TEST(BatchProgramTest, PureCaseSelectsAndNullWhenFallsThrough) {
+  // maybe = CASE WHEN @d > 0 THEN @d END is NULL on lanes with d <= 0 (a
+  // parameter load keeps it on masks). The CASEs over it read only an
+  // alias and literals, so they lower to selects, where a NULL WHEN must
+  // fall through to the ELSE, or to NULL without one.
+  auto maybe = MakeAliasRef(0, "maybe");
+  auto big = MakeBinary(BinaryOp::kGt, maybe, MakeLiteral(Value(1.0)));
+  std::vector<ExprPtr> outer = {
+      MakeCase({{MakeBinary(BinaryOp::kGt, MakeParamRef(0, "d"),
+                            MakeLiteral(Value(0.0))),
+                 MakeParamRef(0, "d")}},
+               nullptr),
+      MakeCase({{big, MakeLiteral(Value(10.0))}}, MakeLiteral(Value(20.0))),
+      MakeCase({{big, MakeLiteral(Value(10.0))},
+                {MakeBinary(BinaryOp::kLe, maybe, MakeLiteral(Value(1.0))),
+                 MakeLiteral(Value(30.0))}},
+               nullptr),
+      MakeBinary(BinaryOp::kAdd, MakeAliasRef(2, "no_else"),
+                 MakeLiteral(Value(1.0)))};
+  std::vector<std::string> names = {"maybe", "with_else", "no_else",
+                                    "shifted"};
+  auto compiled = CompileBatchProgram({}, outer, names);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  // Columns 1 and 2 are straight-line code: 5 and 8 ops (a literal per
+  // operand, the comparisons, one select per WHEN); the mask lowering of
+  // column 1 alone would take 9.
+  auto only_with_else =
+      CompileBatchProgram({}, std::span<const ExprPtr>(outer.data(), 2),
+                          std::span<const std::string>(names.data(), 2));
+  auto only_maybe =
+      CompileBatchProgram({}, std::span<const ExprPtr>(outer.data(), 1),
+                          std::span<const std::string>(names.data(), 1));
+  ASSERT_TRUE(only_with_else.ok() && only_maybe.ok());
+  EXPECT_EQ(only_with_else.value()->num_ops() - only_maybe.value()->num_ops(),
+            5u);
+
+  SeedVector seeds(1, 8);
+  const auto check = [&](const std::vector<double>& lanes) {
+    for (std::size_t j = 1; j < outer.size(); ++j) {
+      std::vector<double> got;
+      Status s = RunLanes(*compiled.value(), j, lanes, &seeds, &got);
+      // The lowest lane the interpreter fails on decides the status.
+      Status want = Status::OK();
+      for (std::size_t k = 0; k < lanes.size(); ++k) {
+        const std::vector<double> params = {lanes[k]};
+        auto ref = RefEvalColumn({}, outer, names, j, params, k, seeds, 0);
+        if (!ref.ok()) {
+          if (want.ok()) want = ref.status();
+          continue;
+        }
+        if (s.ok()) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                    std::bit_cast<std::uint64_t>(ref.value()))
+              << "column " << j << " lane " << k;
+        }
+      }
+      EXPECT_EQ(s.ok(), want.ok()) << "column " << j;
+      EXPECT_EQ(s.message(), want.message()) << "column " << j;
+    }
+  };
+  check({2, -1, 0.5, 3, -0.0, 7});  // NULL WHENs: ELSE, or NULL
+  check({2, 0.5, 3, 7});            // every WHEN decided
+  std::vector<double> got;
+  ASSERT_TRUE(
+      RunLanes(*compiled.value(), 1, {-1, 0, 2}, &seeds, &got).ok());
+  EXPECT_EQ(got, (std::vector<double>{20, 20, 10}));
+  Status no_else = RunLanes(*compiled.value(), 2, {2, -1}, &seeds, &got);
+  EXPECT_EQ(no_else.message(), "column 'no_else' is not numeric");
+}
+
+TEST(BatchProgramTest, ModelCallInMaskedBranchWithoutSeedsReportsLowestLane) {
+  // The model call sits in a masked branch with no earlier unmasked seed
+  // check, so its own check must stay and fail only the lanes that take
+  // the branch; the ELSE divides by zero on lanes with d = -1.
+  auto model = MakeNoisyModel();
+  auto d = MakeParamRef(0, "d");
+  std::vector<ExprPtr> outer = {MakeCase(
+      {{MakeBinary(BinaryOp::kGt, d, MakeLiteral(Value(0.0))),
+        MakeModelCall(model, {MakeLiteral(Value(1.0))}, 1)}},
+      MakeBinary(BinaryOp::kDiv, MakeLiteral(Value(1.0)),
+                 MakeBinary(BinaryOp::kAdd, d, MakeLiteral(Value(1.0)))))};
+  std::vector<std::string> names = {"x"};
+  auto compiled = CompileBatchProgram({}, outer, names);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+
+  const std::string kNoSeeds =
+      "stochastic expression evaluated without a seed vector";
+  for (const auto& [lanes, want] :
+       std::vector<std::pair<std::vector<double>, std::string>>{
+           {{-3, -2, 4, -1}, kNoSeeds},               // lane 2 draws first
+           {{-3, -1, 4, -2}, "division by zero"},     // lane 1 divides first
+           {{-3, -2, -4, -0.5}, ""}}) {               // no lane draws
+    std::vector<double> got;
+    Status s = RunLanes(*compiled.value(), 0, lanes, nullptr, &got);
+    EXPECT_EQ(s.message(), want);
+    EvalContext ctx;  // the interpreter, without seeds, lane by lane
+    Status ref = Status::OK();
+    for (std::size_t k = 0; k < lanes.size() && ref.ok(); ++k) {
+      const std::vector<double> params = {lanes[k]};
+      ctx.params = params;
+      ref = outer[0]->Eval(ctx).status();
+    }
+    EXPECT_EQ(s.message(), ref.message());
+  }
+
+  // After an unmasked call, a masked one's seed check is elided: the
+  // unmasked check already failed every lane.
+  std::vector<ExprPtr> two = {
+      MakeModelCall(model, {MakeLiteral(Value(1.0))}, 1), outer[0]};
+  const std::vector<std::string> two_names = {"y", "x"};
+  auto both = CompileBatchProgram({}, two, two_names);
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  std::vector<double> got;
+  EXPECT_EQ(RunLanes(*both.value(), 1, {-1, 4}, nullptr, &got).message(),
+            kNoSeeds);
+}
+
+// ---------------------------------------------------------------------------
+// BatchProgram differential test: seeded random Expr trees (depth <= 4)
+// through the compiled program and the interpreter, bitwise
+// ---------------------------------------------------------------------------
+
+/// Seeded generator of row programs over two parameters (the second may
+/// carry per-lane overrides), one inner column, earlier aliases, special
+/// doubles (0, -0, NaN), NULL, and every node kind the compiler lowers.
+class RandomRowProgram {
+ public:
+  explicit RandomRowProgram(std::uint64_t seed) : rng_(seed) {
+    model_ = MakeNoisyModel();
+    two_arg_ = std::make_shared<CallableBlackBox>(
+        "Scale", std::vector<std::string>{"a", "b"},
+        [](std::span<const double> p, RandomStream& rng) {
+          return p[0] * rng.NextDouble() - p[1];
+        });
+    inner_.push_back(Gen(2, 0));
+    for (std::size_t j = 0; j < 3; ++j) {
+      outer_.push_back(Gen(3, j));
+      names_.push_back(ColumnName(j));
+    }
+  }
+
+  const std::vector<ExprPtr>& inner() const { return inner_; }
+  const std::vector<ExprPtr>& outer() const { return outer_; }
+  const std::vector<std::string>& names() const { return names_; }
+
+ private:
+  static std::string ColumnName(std::size_t j) {
+    std::string name = "c";
+    name += std::to_string(j);
+    return name;
+  }
+
+  std::size_t Pick(std::size_t n) { return rng_.Next() % n; }
+
+  ExprPtr Leaf(std::size_t num_aliases) {
+    static const double kConstants[] = {1.0, -2.5, 0.5, 3.0, 7.25};
+    switch (Pick(11)) {
+      case 0:
+        return MakeParamRef(0, "p");
+      case 1:
+        return MakeParamRef(1, "q");
+      case 2:
+        return MakeLiteral(Value(0.0));
+      case 3:
+        return MakeLiteral(Value(-0.0));
+      case 4:
+        return MakeLiteral(Value(std::numeric_limits<double>::quiet_NaN()));
+      case 5:
+        return MakeLiteral(Value::Null());
+      case 6:
+        return MakeLiteral(Value(Pick(2) == 0));
+      case 7:
+      case 8:
+        if (num_aliases > 0) {
+          const std::size_t a = Pick(num_aliases);
+          return MakeAliasRef(a, ColumnName(a));
+        }
+        [[fallthrough]];
+      case 9:
+        // The inner column itself is generated before it exists.
+        if (inner_.empty()) return MakeParamRef(1, "q");
+        return MakeColumnRef(0, "inner");
+      default:
+        return MakeLiteral(Value(kConstants[Pick(5)]));
+    }
+  }
+
+  ExprPtr Gen(int depth, std::size_t num_aliases) {
+    if (depth == 0 || Pick(5) == 0) return Leaf(num_aliases);
+    auto sub = [&] { return Gen(depth - 1, num_aliases); };
+    switch (Pick(7)) {
+      case 0: {
+        static const BinaryOp kArith[] = {BinaryOp::kAdd, BinaryOp::kSub,
+                                          BinaryOp::kMul, BinaryOp::kDiv};
+        return MakeBinary(kArith[Pick(4)], sub(), sub());
+      }
+      case 1: {
+        static const BinaryOp kCmp[] = {BinaryOp::kLt, BinaryOp::kLe,
+                                        BinaryOp::kGt, BinaryOp::kGe,
+                                        BinaryOp::kEq, BinaryOp::kNe};
+        return MakeBinary(kCmp[Pick(6)], sub(), sub());
+      }
+      case 2:
+        return MakeBinary(Pick(2) == 0 ? BinaryOp::kAnd : BinaryOp::kOr,
+                          sub(), sub());
+      case 3:
+        return MakeNot(sub());
+      case 4:
+      case 5: {
+        std::vector<std::pair<ExprPtr, ExprPtr>> branches;
+        const std::size_t num_branches = 1 + Pick(3);
+        for (std::size_t b = 0; b < num_branches; ++b) {
+          branches.emplace_back(sub(), sub());
+        }
+        return MakeCase(std::move(branches),
+                        Pick(2) == 0 ? sub() : nullptr);
+      }
+      default:
+        if (Pick(2) == 0) return MakeModelCall(model_, {sub()}, ++site_);
+        return MakeModelCall(two_arg_, {sub(), sub()}, ++site_);
+    }
+  }
+
+  SplitMix64 rng_;
+  BlackBoxPtr model_;
+  BlackBoxPtr two_arg_;
+  std::uint64_t site_ = 0;
+  std::vector<ExprPtr> inner_;
+  std::vector<ExprPtr> outer_;
+  std::vector<std::string> names_;
+};
+
+/// The interpreter's outcome for one sample: a value per column or the
+/// error of column j's walk (EvalColumn) and of the all-columns walk
+/// (EvalAllColumns).
+struct RefSample {
+  std::vector<Result<double>> column;
+  Status all = Status::OK();
+};
+
+RefSample RefEvalSample(const RandomRowProgram& p,
+                        std::span<const double> params, std::size_t sample,
+                        const SeedVector* seeds, std::uint64_t salt) {
+  EvalContext ctx;
+  ctx.params = params;
+  ctx.sample_id = sample;
+  ctx.seeds = seeds;
+  ctx.stream_salt = salt;
+  RefSample out;
+  const auto fail_all = [&](const Status& s) {
+    out.column.assign(p.outer().size(), s);
+    out.all = s;
+    return out;
+  };
+  std::vector<Value> inner_aliases;
+  EvalContext inner_ctx = ctx;
+  inner_ctx.aliases = &inner_aliases;
+  for (const auto& e : p.inner()) {
+    auto v = e->Eval(inner_ctx);
+    if (!v.ok()) return fail_all(v.status());
+    inner_aliases.push_back(std::move(v.value()));
+  }
+  Row inner_row = std::move(inner_aliases);
+  ctx.row = &inner_row;
+  std::vector<Value> aliases;
+  ctx.aliases = &aliases;
+  Status first_error = Status::OK();
+  for (std::size_t j = 0; j < p.outer().size(); ++j) {
+    auto v = p.outer()[j]->Eval(ctx);
+    if (!v.ok()) {
+      // Every later column's walk re-evaluates this one and fails here.
+      for (std::size_t k = j; k < p.outer().size(); ++k) {
+        out.column.push_back(v.status());
+      }
+      if (out.all.ok()) out.all = v.status();
+      return out;
+    }
+    aliases.push_back(std::move(v.value()));
+    if (!aliases[j].IsNumeric()) {
+      const Status s = Status::ExecutionError("column '" + p.names()[j] +
+                                              "' is not numeric");
+      out.column.push_back(s);
+      if (out.all.ok()) out.all = s;
+    } else {
+      out.column.push_back(aliases[j].AsDouble());
+    }
+  }
+  return out;
+}
+
+TEST(BatchProgramDifferentialTest, RandomExprTreesMatchInterpreterBitwise) {
+  constexpr std::size_t kPrograms = 300;
+  constexpr std::size_t kSamples = 40;
+  const SeedVector seeds(0xD1FF, kSamples);
+  // Per-lane values for parameter q: the special doubles every kernel
+  // must treat like the interpreter.
+  std::vector<double> q_lanes(kSamples);
+  {
+    const double kLaneValues[] = {0.0, -0.0, 1.0, -2.0, 0.5,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  3.0};
+    for (std::size_t k = 0; k < kSamples; ++k) {
+      q_lanes[k] = kLaneValues[(k * 5 + k / 7) % 7];
+    }
+  }
+  const std::vector<double> params = {1.5, -0.0};
+  std::size_t ok_spans = 0;
+  std::size_t error_spans = 0;
+
+  for (std::size_t seed = 0; seed < kPrograms; ++seed) {
+    const RandomRowProgram p(seed);
+    auto compiled = CompileBatchProgram(p.inner(), p.outer(), p.names());
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const BatchProgram& program = *compiled.value();
+
+    // mode 0: broadcast parameters; 1: q overridden per lane; 2: no
+    // seeds; 3: q unbound (a parameter load raises where it is reached).
+    for (int mode = 0; mode < 4; ++mode) {
+      for (std::uint64_t salt : {std::uint64_t{0}, std::uint64_t{0x5A17}}) {
+        if (mode >= 2 && salt != 0) continue;
+        const SeedVector* run_seeds = mode == 2 ? nullptr : &seeds;
+        const std::span<const double> bound(params.data(),
+                                            mode == 3 ? 1 : 2);
+        std::vector<RefSample> ref;
+        for (std::size_t k = 0; k < kSamples; ++k) {
+          std::vector<double> lane_params(bound.begin(), bound.end());
+          if (mode == 1) lane_params[1] = q_lanes[k];
+          ref.push_back(RefEvalSample(p, lane_params, k, run_seeds, salt));
+        }
+        BatchProgram::LaneParam q_override{1, q_lanes};
+        for (std::size_t batch : test::GridBatchSizes()) {
+          SCOPED_TRACE(testing::Message()
+                       << "program " << seed << " mode " << mode << " salt "
+                       << salt << " batch " << batch << "\n  inner: "
+                       << p.inner()[0]->ToString() << "\n  c0: "
+                       << p.outer()[0]->ToString() << "\n  c1: "
+                       << p.outer()[1]->ToString() << "\n  c2: "
+                       << p.outer()[2]->ToString());
+          BatchScratch scratch;
+          for (std::size_t begin = 0; begin < kSamples; begin += batch) {
+            const std::size_t n = std::min(batch, kSamples - begin);
+            BatchProgram::Context ctx;
+            ctx.params = bound;
+            if (mode == 1) {
+              q_override.values =
+                  std::span<const double>(q_lanes.data() + begin, n);
+              ctx.lane_params =
+                  std::span<const BatchProgram::LaneParam>(&q_override, 1);
+            }
+            ctx.sample_begin = begin;
+            ctx.seeds = run_seeds;
+            ctx.stream_salt = salt;
+            // The span fails with the lowest failing lane's error.
+            const auto expect_span = [&](const Status& got, auto ref_status,
+                                         auto compare_values) {
+              Status want = Status::OK();
+              for (std::size_t k = begin; k < begin + n && want.ok(); ++k) {
+                want = ref_status(ref[k]);
+              }
+              ASSERT_EQ(got.ok(), want.ok()) << got.ToString();
+              if (!want.ok()) {
+                EXPECT_EQ(got.code(), want.code());
+                EXPECT_EQ(got.message(), want.message());
+                ++error_spans;
+                return;
+              }
+              ++ok_spans;
+              compare_values();
+            };
+
+            for (std::size_t j = 0; j < p.outer().size(); ++j) {
+              std::vector<double> got(n);
+              const Status s = program.RunColumn(j, ctx, n, got, scratch);
+              expect_span(
+                  s,
+                  [j](const RefSample& r) { return r.column[j].status(); },
+                  [&] {
+                    for (std::size_t l = 0; l < n; ++l) {
+                      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[l]),
+                                std::bit_cast<std::uint64_t>(
+                                    ref[begin + l].column[j].value()))
+                          << "column " << j << " sample " << begin + l;
+                    }
+                  });
+            }
+            std::vector<std::vector<double>> cols(p.outer().size(),
+                                                  std::vector<double>(n));
+            std::vector<double*> out;
+            for (auto& c : cols) out.push_back(c.data());
+            const Status all = program.RunAll(ctx, n, out, scratch);
+            expect_span(
+                all, [](const RefSample& r) { return r.all; },
+                [&] {
+                  for (std::size_t j = 0; j < cols.size(); ++j) {
+                    for (std::size_t l = 0; l < n; ++l) {
+                      EXPECT_EQ(std::bit_cast<std::uint64_t>(cols[j][l]),
+                                std::bit_cast<std::uint64_t>(
+                                    ref[begin + l].column[j].value()))
+                          << "RunAll column " << j << " sample "
+                          << begin + l;
+                    }
+                  }
+                });
+            if (HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  // The generator must exercise both outcomes in earnest.
+  EXPECT_GT(ok_spans, error_spans / 4);
+  EXPECT_GT(error_spans, ok_spans / 20);
 }
 
 // ---------------------------------------------------------------------------

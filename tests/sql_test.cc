@@ -761,6 +761,18 @@ TEST_F(CompiledExprTest, CaseWithoutElseParityWithInterpreter) {
             std::string::npos);
 }
 
+TEST_F(CompiledExprTest, Figure1ProgramCompilesToAtMostTwelveOps) {
+  // demand and capacity: one seed check, the parameter loads and the
+  // model call (their argument and column checks can never fire);
+  // overload: a comparison, two constants and one select. A lowering
+  // regression (say, the CASE back on masks) shows up here first.
+  auto bound = ParseAndBind(kFigure1, registry_);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  const auto& program = *bound.value().program;
+  ASSERT_TRUE(program.compiled()) << program.batch_fallback_reason;
+  EXPECT_LE(program.batch->num_ops(), 12u);
+}
+
 TEST_F(CompiledExprTest, UncompilableScriptFallsBackWithVisibleReason) {
   // String comparisons are interpreter-only; the script must still run,
   // and the de-optimization must be queryable from the outcome report.
