@@ -43,7 +43,8 @@ void AccuracyBench(benchmark::State& state, const BlackBoxPtr& model,
     max_err = 0.0;
     mean_err = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) {
-      const double err = std::fabs(a[i].metrics.mean - b[i].metrics.mean);
+      const double err = std::fabs(a[i].Metric(MetricSelector::kExpect) -
+                                   b[i].Metric(MetricSelector::kExpect));
       max_err = std::max(max_err, err);
       mean_err += err;
     }

@@ -54,8 +54,8 @@ void BM_FingerprintSize(benchmark::State& state) {
     bases = runner.basis_store().size();
     max_err = 0.0;
     for (std::size_t i = 0; i < results.size(); ++i) {
-      max_err = std::max(max_err, std::fabs(results[i].metrics.mean -
-                                            reference[i].metrics.mean));
+      max_err = std::max(max_err, std::fabs(results[i].MappedMetrics().mean -
+                                            reference[i].MappedMetrics().mean));
     }
   }
   state.counters["m"] = static_cast<double>(m);

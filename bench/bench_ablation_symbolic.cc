@@ -49,7 +49,7 @@ std::vector<double> FullReference() {
     SimulationRunner runner(cfg);
     std::vector<double> out;
     for (const auto& r : runner.RunSweep(fn, OverloadSpace())) {
-      out.push_back(r.metrics.mean);
+      out.push_back(r.MappedMetrics().mean);
     }
     return out;
   }();
@@ -81,7 +81,7 @@ void BM_Overload_Boolean(benchmark::State& state) {
     max_err = 0.0;
     for (std::size_t i = 0; i < results.size(); ++i) {
       max_err = std::max(
-          max_err, std::fabs(results[i].metrics.mean - reference[i]));
+          max_err, std::fabs(results[i].MappedMetrics().mean - reference[i]));
     }
     invocations = runner.stats().blackbox_invocations;
   }

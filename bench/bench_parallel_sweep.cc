@@ -40,10 +40,10 @@ double MetricsChecksum(const std::vector<PointResult>& results) {
     h = (h ^ u) * 0x100000001b3ULL;
   };
   for (const auto& r : results) {
-    fold(r.metrics.mean);
-    fold(r.metrics.stddev);
-    fold(r.metrics.p50);
-    fold(r.metrics.p95);
+    for (MetricSelector s : {MetricSelector::kExpect, MetricSelector::kStdDev,
+                             MetricSelector::kMedian, MetricSelector::kP95}) {
+      fold(r.Metric(s));
+    }
     h = (h ^ static_cast<std::uint64_t>(r.reused)) * 0x100000001b3ULL;
   }
   // Expose as a double counter; keep 52 bits so the value is exact.

@@ -43,7 +43,8 @@ int main() {
     const auto valuation = space.ValuationAt(i);
     const auto& r = results[i];
     std::printf("%4.0f | %9.3f | %6.3f | %s basis #%u\n", valuation[0],
-                r.metrics.mean, r.metrics.stddev,
+                r.Metric(MetricSelector::kExpect),
+                r.Metric(MetricSelector::kStdDev),
                 r.reused ? "mapped " : "new    ", r.basis_id);
   }
 

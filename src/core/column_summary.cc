@@ -156,15 +156,14 @@ Buckets CountCell(const Column& col, const Cell& cell, const Selection& sel) {
   std::size_t* const count = b.count.data();
   std::uint64_t* const kmin = b.kmin.data();
   std::uint64_t* const kmax = b.kmax.data();
-  // By key, behind a cheap floating-point range test (which also drops
-  // NaN and +-inf); the key test settles signed zeros at the bounds.
-  const double lo = FromOrderKey(klo);
-  const double hi = FromOrderKey(khi);
+  // By key, one unsigned compare: k is in [klo, khi] iff k - klo <=
+  // khi - klo. Selections hold finite keys only, so NaN and +-inf fall
+  // outside.
+  const std::uint64_t width = khi - klo;
   col.ForEach(cell.begin, cell.end, [&](std::span<const double> xs) {
     for (double x : xs) {
-      if (!(x >= lo && x <= hi)) continue;
       const std::uint64_t k = OrderKey(x);
-      if (k < klo || k > khi) continue;
+      if (k - klo > width) continue;
       const auto i = static_cast<std::size_t>((k - klo) >> shift);
       ++count[i];
       kmin[i] = std::min(kmin[i], k);
@@ -188,7 +187,8 @@ QuantileRanks RanksOf(std::size_t n, double q) {
   return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
 }
 
-constexpr double kQuantiles[] = {0.50, 0.95};
+/// The quantiles every summary carries: p05, p50 and p95.
+constexpr double kQuantiles[] = {0.05, 0.50, 0.95};
 
 /// The order-statistic keys resolved so far for one column, by rank.
 using Picks = std::vector<std::pair<std::size_t, std::uint64_t>>;
@@ -436,25 +436,21 @@ std::vector<OutputMetrics> SummarizeColumns(
   RunTasks(workers, gather_cells.size(), [&](std::size_t t) {
     const Cell& cell = cells[gather_cells[t]];
     const std::vector<std::size_t>& sels = gathers_of[cell.column];
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> bounds;
-    std::uint64_t lo = ~std::uint64_t{0};
-    std::uint64_t hi = 0;
+    // Each selection's key range as (first key, width), tested with one
+    // unsigned compare as in CountCell.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
     for (std::size_t s : sels) {
-      bounds.emplace_back(gathering[s].klo, gathering[s].khi);
-      lo = std::min(lo, gathering[s].klo);
-      hi = std::max(hi, gathering[s].khi);
+      ranges.emplace_back(gathering[s].klo,
+                          gathering[s].khi - gathering[s].klo);
     }
     auto& keys = gathered[t];
     keys.resize(sels.size());
-    const double dlo = FromOrderKey(lo);
-    const double dhi = FromOrderKey(hi);
     cols[cell.column].ForEach(
         cell.begin, cell.end, [&](std::span<const double> xs) {
           for (double x : xs) {
-            if (!(x >= dlo && x <= dhi)) continue;  // drops NaN and +-inf
             const std::uint64_t k = OrderKey(x);
-            for (std::size_t j = 0; j < bounds.size(); ++j) {
-              if (k >= bounds[j].first && k <= bounds[j].second) {
+            for (std::size_t j = 0; j < ranges.size(); ++j) {
+              if (k - ranges[j].first <= ranges[j].second) {
                 keys[j].push_back(k);
               }
             }
@@ -487,8 +483,9 @@ std::vector<OutputMetrics> SummarizeColumns(
 
   for (std::size_t c = 0; c < num_columns; ++c) {
     if (range[c].count == 0) continue;
-    out[c].p50 = Interpolate(range[c].count, kQuantiles[0], picks[c]);
-    out[c].p95 = Interpolate(range[c].count, kQuantiles[1], picks[c]);
+    out[c].p05 = Interpolate(range[c].count, kQuantiles[0], picks[c]);
+    out[c].p50 = Interpolate(range[c].count, kQuantiles[1], picks[c]);
+    out[c].p95 = Interpolate(range[c].count, kQuantiles[2], picks[c]);
   }
   if (stats != nullptr) *stats = tally;
   return out;

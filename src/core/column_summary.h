@@ -3,9 +3,9 @@
 /// \file column_summary.h
 /// The finalize layer of the Estimator (Figure 3): turns each output
 /// column's Monte Carlo samples into its OutputMetrics — moments, min/max,
-/// p50/p95 and histogram — reading the samples in place. A column arrives
-/// as a world-ordered list of read-only spans over buffers its producer
-/// already holds (columnar chunks, cached world tables, staged cells); the
+/// p05/p50/p95 and histogram — reading the samples in place. A column
+/// arrives as a world-ordered list of read-only spans over buffers its
+/// producer already holds (columnar chunks, cached world tables, staged cells); the
 /// kernel never writes to them and keeps no copy of them unless samples
 /// are requested.
 ///
@@ -18,11 +18,12 @@
 ///     the first of equal values, as a serial scan would;
 ///   * histogram bin counts are integers and add exactly
 ///     (Histogram::Merge);
-///   * p50/p95 come from a count-then-refine selection: a count pass per
-///     slice buckets the finite values by IEEE totalOrder key, and the
+///   * p05/p50/p95 come from a count-then-refine selection: a count pass
+///     per slice buckets the finite values by IEEE totalOrder key, and the
 ///     bucket holding each needed rank is either single-valued (answered
 ///     without a gather), small enough to gather into private scratch for
-///     nth_element, or re-bucketed over its own key range.
+///     nth_element, or re-bucketed over its own key range. p05 is there
+///     for reuse: a reflecting mapping turns it into the mapped p95.
 ///
 /// Order statistics follow IEEE totalOrder, so when -0.0 and +0.0 both
 /// sit at a selected rank, -0.0 ranks below +0.0.

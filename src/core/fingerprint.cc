@@ -29,12 +29,19 @@ Fingerprint ComputeFingerprint(const SimFunction& fn,
                                std::span<const double> params,
                                const SeedVector& seeds, std::size_t m,
                                FingerprintMemo* memo) {
+  Fingerprint fp;
+  ComputeFingerprintInto(fn, params, seeds, m, memo, &fp);
+  return fp;
+}
+
+void ComputeFingerprintInto(const SimFunction& fn,
+                            std::span<const double> params,
+                            const SeedVector& seeds, std::size_t m,
+                            FingerprintMemo* memo, Fingerprint* out) {
   JIGSAW_CHECK_MSG(m <= seeds.size(),
                    "fingerprint size " << m << " exceeds seed vector size "
                                        << seeds.size());
-  std::vector<double> values(m);
-  fn.SampleFingerprint(params, seeds, values, memo);
-  return Fingerprint(std::move(values));
+  fn.SampleFingerprint(params, seeds, out->Refill(m), memo);
 }
 
 }  // namespace jigsaw

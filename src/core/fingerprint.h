@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,13 @@ class Fingerprint {
   /// Appends one more entry (interactive mode grows fingerprints lazily).
   void Append(double v) { values_.push_back(v); }
 
+  /// Resizes to `m` entries and returns them for writing, reusing the
+  /// storage (a runner refills one probe fingerprint at every point).
+  std::span<double> Refill(std::size_t m) {
+    values_.resize(m);
+    return values_;
+  }
+
   /// Indices of the first two entries that differ by more than `tol`
   /// (relative), or nullopt if the fingerprint is constant. Used both by
   /// FindLinearMapping and by the normalization index.
@@ -65,5 +73,11 @@ Fingerprint ComputeFingerprint(const SimFunction& fn,
                                std::span<const double> params,
                                const SeedVector& seeds, std::size_t m,
                                FingerprintMemo* memo = nullptr);
+
+/// ComputeFingerprint into `out`, reusing its storage.
+void ComputeFingerprintInto(const SimFunction& fn,
+                            std::span<const double> params,
+                            const SeedVector& seeds, std::size_t m,
+                            FingerprintMemo* memo, Fingerprint* out);
 
 }  // namespace jigsaw

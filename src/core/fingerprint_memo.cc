@@ -44,7 +44,19 @@ FingerprintMemo::Table* FingerprintMemo::TableFor(const BlackBoxPtr& model,
   t.capacity = t.slots.size() / 2;
   t.keys.reserve(t.capacity * arity);
   t.values.reserve(t.capacity * m_);
+  if (seeds_->schema() == SeedSchema::kV1) {
+    t.streams.reserve(m_);
+    for (std::size_t i = 0; i < m_; ++i) {
+      t.streams.push_back(seeds_->StreamFor(i, call_site));
+    }
+  }
   return &t;
+}
+
+std::size_t FingerprintMemo::tables_with_streams() const {
+  return static_cast<std::size_t>(
+      std::count_if(tables_.begin(), tables_.end(),
+                    [](const Table& t) { return !t.streams.empty(); }));
 }
 
 void FingerprintMemo::Eval(const BlackBoxPtr& model,
@@ -72,7 +84,9 @@ void FingerprintMemo::Eval(const BlackBoxPtr& model,
       return;
     }
   }
-  model->EvalBatch(args, seeds_->span(0, m_), call_site, out);
+  SeedSpan seeds = seeds_->span(0, m_);
+  if (!t->streams.empty()) seeds = seeds.WithStreams(t->streams, call_site);
+  model->EvalBatch(args, seeds, call_site, out);
   if (t->size == t->capacity) return;
   t->slots[s] = static_cast<std::uint32_t>(++t->size);
   for (double a : args) t->keys.push_back(ArgBits(a));

@@ -26,6 +26,16 @@
 /// push out a sibling site's few hot keys (DemandModel's). Call sites past
 /// kMaxTables are evaluated directly. The memo is not thread-safe; a
 /// SimulationRunner uses it only on its calling thread.
+///
+/// Pre-derived streams: under seed-schema v1, sample i at salted call
+/// site c always starts from RandomStream(DeriveStreamSeed(sigma_i, c)),
+/// whatever the model or its arguments. Each table derives its call
+/// site's m starting streams once, when it is created, and a miss hands
+/// them to the model through SeedSpan::WithStreams, so the model copies a
+/// stream instead of paying a Philox block and a SplitMix64 expansion per
+/// sample. The copy is the stream the model would have derived, so the
+/// draws are unchanged. Schema v2 draws from planes and gets no streams;
+/// call sites without a table derive per sample as before.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,10 +79,15 @@ class FingerprintMemo {
   /// Calls answered from the memo without evaluating the model.
   std::uint64_t hits() const { return hits_; }
 
+  /// Tables that carry pre-derived streams (one per v1 call site with a
+  /// table; none under v2).
+  std::size_t tables_with_streams() const;
+
  private:
   /// Open-addressed table of one (call site, model). Entry e's argument
   /// bits are keys[e*arity, (e+1)*arity) and its outputs values[e*m,
-  /// (e+1)*m); slots hold e + 1, or 0 when empty.
+  /// (e+1)*m); slots hold e + 1, or 0 when empty. `streams` holds the
+  /// call site's m starting streams under v1 and is empty under v2.
   struct Table {
     BlackBoxPtr model;
     std::uint64_t call_site = 0;
@@ -82,6 +97,7 @@ class FingerprintMemo {
     std::vector<std::uint32_t> slots;
     std::vector<std::uint64_t> keys;
     std::vector<double> values;
+    std::vector<RandomStream> streams;
   };
 
   /// The table of (call site, model), created on first use; null when

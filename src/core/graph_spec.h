@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/optimizer.h"
+#include "core/metrics.h"
 
 namespace jigsaw {
 

@@ -19,6 +19,20 @@
 
 namespace jigsaw {
 
+/// Which characteristic of an output distribution a query refers to
+/// (EXPECT overload, EXPECT_STDDEV demand, ...).
+enum class MetricSelector {
+  kExpect,
+  kStdDev,
+  kStdError,
+  kMin,
+  kMax,
+  kMedian,
+  kP95,
+};
+
+const char* MetricSelectorName(MetricSelector m);
+
 struct OutputMetrics {
   std::int64_t count = 0;
   double mean = 0.0;
@@ -28,6 +42,9 @@ struct OutputMetrics {
   double max = 0.0;
   double p50 = 0.0;
   double p95 = 0.0;
+  /// The 5% quantile: what p95 becomes under a reflecting (alpha < 0)
+  /// affine mapping.
+  double p05 = 0.0;
   std::optional<Histogram> histogram;
   /// Raw samples, retained only when RunConfig.keep_samples is set (needed
   /// by symbolic post-processing and some tests; costs memory).
@@ -40,8 +57,24 @@ struct OutputMetrics {
   std::optional<OutputMetrics> MappedBy(const MappingFunction& m,
                                         int histogram_bins) const;
 
+  /// Every field mapped by x -> alpha * x + beta, each one by
+  /// AffineMappedMetric's formula.
+  OutputMetrics AffineMapped(double alpha, double beta) const;
+
   std::string ToString() const;
 };
+
+/// Extracts the selected characteristic from finalized metrics.
+double ExtractMetric(const OutputMetrics& metrics, MetricSelector selector);
+
+/// The selected characteristic of `metrics` mapped by x -> alpha * x +
+/// beta, computed from the cached fields alone: the one per-field formula
+/// behind both AffineMapped and a reused point's single-field read, so
+/// the two cannot drift. The moments map analytically. A reflection
+/// (alpha < 0) swaps min with max and the upper tail rank with the lower
+/// one: the mapped p95 is alpha * p05 + beta. The median maps to itself.
+double AffineMappedMetric(const OutputMetrics& metrics, MetricSelector selector,
+                          double alpha, double beta);
 
 /// True iff MappedBy(m, ...) would produce a value for metrics whose
 /// retained-sample vector is non-empty iff `has_samples`. The decision

@@ -8,46 +8,6 @@
 
 namespace jigsaw {
 
-const char* MetricSelectorName(MetricSelector m) {
-  switch (m) {
-    case MetricSelector::kExpect:
-      return "EXPECT";
-    case MetricSelector::kStdDev:
-      return "EXPECT_STDDEV";
-    case MetricSelector::kStdError:
-      return "STDERR";
-    case MetricSelector::kMin:
-      return "MIN";
-    case MetricSelector::kMax:
-      return "MAX";
-    case MetricSelector::kMedian:
-      return "MEDIAN";
-    case MetricSelector::kP95:
-      return "P95";
-  }
-  return "?";
-}
-
-double ExtractMetric(const OutputMetrics& metrics, MetricSelector selector) {
-  switch (selector) {
-    case MetricSelector::kExpect:
-      return metrics.mean;
-    case MetricSelector::kStdDev:
-      return metrics.stddev;
-    case MetricSelector::kStdError:
-      return metrics.std_error;
-    case MetricSelector::kMin:
-      return metrics.min;
-    case MetricSelector::kMax:
-      return metrics.max;
-    case MetricSelector::kMedian:
-      return metrics.p50;
-    case MetricSelector::kP95:
-      return metrics.p95;
-  }
-  return 0.0;
-}
-
 bool MetricConstraint::Compare(double lhs) const {
   switch (cmp) {
     case CmpOp::kLt:
@@ -241,8 +201,7 @@ Result<OptimizeResult> Optimizer::Run(const Scenario& scenario,
         const PointResult point =
             runner_->RunPoint(*constraint_columns[c]->fn, full);
         ++result.points_simulated;
-        const double metric =
-            ExtractMetric(point.metrics, spec.constraints[c].metric);
+        const double metric = point.Metric(spec.constraints[c].metric);
         acc[c] = FoldStep(spec.constraints[c].agg, acc[c], metric);
       }
     }

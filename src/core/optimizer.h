@@ -26,23 +26,6 @@
 
 namespace jigsaw {
 
-/// Which characteristic of an output distribution a query refers to
-/// (EXPECT overload, EXPECT_STDDEV demand, ...).
-enum class MetricSelector {
-  kExpect,
-  kStdDev,
-  kStdError,
-  kMin,
-  kMax,
-  kMedian,
-  kP95,
-};
-
-const char* MetricSelectorName(MetricSelector m);
-
-/// Extracts the selected characteristic from finalized metrics.
-double ExtractMetric(const OutputMetrics& metrics, MetricSelector selector);
-
 /// Aggregation over the sweep dimension(s).
 enum class SweepAgg { kMax, kMin, kAvg, kSum };
 

@@ -7,6 +7,42 @@
 
 namespace jigsaw {
 
+std::optional<PointResult> PointResult::Reusing(const OutputMetrics& basis,
+                                                BasisId basis_id,
+                                                MappingPtr mapping,
+                                                int histogram_bins) {
+  PointResult r;
+  r.reused = true;
+  r.basis_id = basis_id;
+  if (auto affine = mapping->AsAffine()) {
+    r.basis_ = &basis;
+    r.alpha_ = affine->first;
+    r.beta_ = affine->second;
+  } else {
+    auto mapped = basis.MappedBy(*mapping, histogram_bins);
+    if (!mapped.has_value()) return std::nullopt;
+    r.owned_ = std::move(*mapped);
+  }
+  r.mapping = std::move(mapping);
+  return r;
+}
+
+double PointResult::Metric(MetricSelector selector) const {
+  return basis_ != nullptr
+             ? AffineMappedMetric(*basis_, selector, alpha_, beta_)
+             : ExtractMetric(owned_, selector);
+}
+
+OutputMetrics PointResult::MappedMetrics() const {
+  return basis_ != nullptr ? basis_->AffineMapped(alpha_, beta_) : owned_;
+}
+
+void PointResult::Materialize() {
+  if (basis_ == nullptr) return;
+  owned_ = basis_->AffineMapped(alpha_, beta_);
+  basis_ = nullptr;
+}
+
 SimulationRunner::SimulationRunner(const RunConfig& config,
                                    MappingFinderPtr finder,
                                    BasisStore* published_store)
@@ -85,32 +121,26 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
                                        std::span<const double> params) {
   ++stats_.points_evaluated;
   const std::size_t n = config_.num_samples;
-  const std::size_t m =
-      config_.use_fingerprints ? config_.fingerprint_size : 0;
-
-  PointResult result;
 
   if (config_.use_fingerprints) {
     // The fingerprint is the first m rounds of this point's simulation.
-    Fingerprint fp = ComputeFingerprint(fn, params, seeds_, m, &memo_);
+    const std::size_t m = config_.fingerprint_size;
+    ComputeFingerprintInto(fn, params, seeds_, m, &memo_, &probe_);
     stats_.blackbox_invocations += m;
     stats_.fingerprint_memo_hits = memo_.hits();
 
-    if (auto sm = FindPublishedOrPrivateMatch(fp)) {
-      // Reuse: map the basis metrics into this point's domain. The
-      // Selector only ever compares mapped outputs across parameter
-      // values; it never mixes their samples (Section 6.2's correctness
-      // argument).
+    if (auto sm = FindPublishedOrPrivateMatch(probe_)) {
+      // Reuse: the point's metrics are the basis metrics mapped into its
+      // domain, read field by field. The Selector only ever compares
+      // mapped outputs across parameter values; it never mixes their
+      // samples (Section 6.2's correctness argument).
       const auto& basis = sm->store->Get(sm->match.basis_id);
-      auto mapped =
-          basis.metrics.MappedBy(*sm->match.mapping, config_.histogram_bins);
-      if (mapped.has_value()) {
+      if (auto reused = PointResult::Reusing(basis.metrics,
+                                             sm->match.basis_id,
+                                             std::move(sm->match.mapping),
+                                             config_.histogram_bins)) {
         ++stats_.points_reused;
-        result.metrics = std::move(*mapped);
-        result.reused = true;
-        result.basis_id = sm->match.basis_id;
-        result.mapping = sm->match.mapping;
-        return result;
+        return std::move(*reused);
       }
       // Mapping exists but metrics could not be transformed (exotic
       // mapping class without retained samples): fall through to full
@@ -123,15 +153,13 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
     scratch_.resize(n - m);
     SampleRange(fn, params, m, scratch_);
     Estimator estimator(config_.keep_samples, config_.histogram_bins);
-    estimator.AddSpan(fp.values());
+    estimator.AddSpan(probe_.values());
     estimator.AddSpan(scratch_);
     stats_.blackbox_invocations += n - m;
-    result.metrics = estimator.Finalize();
-    const auto& basis = basis_store_.Insert(std::move(fp), result.metrics);
-    result.reused = false;
-    result.basis_id = basis.id;
-    result.mapping = IdentityMapping::Make();
-    return result;
+    OutputMetrics metrics = estimator.Finalize();
+    const auto& basis = basis_store_.Insert(Fingerprint(probe_), metrics);
+    return PointResult(std::move(metrics), /*reused=*/false, basis.id,
+                       IdentityMapping::Make());
   }
 
   // Naive baseline: generate everything.
@@ -140,10 +168,8 @@ PointResult SimulationRunner::RunPoint(const SimFunction& fn,
   Estimator estimator(config_.keep_samples, config_.histogram_bins);
   estimator.AddSpan(scratch_);
   stats_.blackbox_invocations += n;
-  result.metrics = estimator.Finalize();
-  result.reused = false;
-  result.mapping = IdentityMapping::Make();
-  return result;
+  return PointResult(estimator.Finalize(), /*reused=*/false, /*basis_id=*/0,
+                     IdentityMapping::Make());
 }
 
 std::vector<PointResult> SimulationRunner::RunSweepSerial(
@@ -154,6 +180,7 @@ std::vector<PointResult> SimulationRunner::RunSweepSerial(
   for (std::size_t i = 0; i < n; ++i) {
     const auto valuation = space.ValuationAt(i);
     out.push_back(RunPoint(fn, valuation));
+    out.back().Materialize();
   }
   return out;
 }
@@ -180,9 +207,8 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
       Estimator estimator(config_.keep_samples, config_.histogram_bins);
       SampleRangeSerial(fn, valuations[i], 0, all);
       estimator.AddSpan(all);
-      out[i].metrics = estimator.Finalize();
-      out[i].reused = false;
-      out[i].mapping = IdentityMapping::Make();
+      out[i] = PointResult(estimator.Finalize(), /*reused=*/false,
+                           /*basis_id=*/0, IdentityMapping::Make());
     });
     stats_.points_evaluated += n_points;
     stats_.blackbox_invocations += static_cast<std::uint64_t>(n_points) * n;
@@ -256,7 +282,8 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
   });
   for (std::size_t j = 0; j < miss_points.size(); ++j) {
     const std::size_t i = miss_points[j];
-    out[i].metrics = miss_metrics[j];
+    out[i] = PointResult(miss_metrics[j], /*reused=*/false,
+                         decisions[i].basis_id, decisions[i].mapping);
     basis_store_.SetMetrics(decisions[i].basis_id,
                             std::move(miss_metrics[j]));
   }
@@ -266,16 +293,13 @@ std::vector<PointResult> SimulationRunner::RunSweepParallel(
   // miss points already carry their metrics.
   for (std::size_t i = 0; i < n_points; ++i) {
     const Decision& d = decisions[i];
-    out[i].reused = d.hit;
-    out[i].basis_id = d.basis_id;
-    out[i].mapping = d.mapping;
-    if (d.hit) {
-      auto mapped = d.store->Get(d.basis_id)
-                        .metrics.MappedBy(*d.mapping, config_.histogram_bins);
-      JIGSAW_CHECK_MSG(mapped.has_value(),
-                       "CanMapMetrics accepted an unmappable basis");
-      out[i].metrics = std::move(*mapped);
-    }
+    if (!d.hit) continue;
+    auto mapped = d.store->Get(d.basis_id)
+                      .metrics.MappedBy(*d.mapping, config_.histogram_bins);
+    JIGSAW_CHECK_MSG(mapped.has_value(),
+                     "CanMapMetrics accepted an unmappable basis");
+    out[i] = PointResult(std::move(*mapped), /*reused=*/true, d.basis_id,
+                         d.mapping);
   }
   return out;
 }

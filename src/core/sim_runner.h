@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,11 +49,60 @@ struct RunnerStats {
   std::uint64_t fingerprint_memo_hits = 0;
 };
 
-struct PointResult {
-  OutputMetrics metrics;
-  bool reused = false;          ///< true if served from a mapped basis
-  BasisId basis_id = 0;         ///< basis that served (or was created)
-  MappingPtr mapping;           ///< mapping used (identity for new bases)
+/// One evaluated parameter point. A point RunPoint served from a basis
+/// under an affine mapping does not copy the basis's metrics: it keeps a
+/// reference to them plus the mapping, and Metric maps only the field a
+/// caller reads (OPTIMIZE and GRAPH read one scalar per point). Every
+/// other point owns metrics already in its own domain.
+///
+/// A reference is into a BasisStore's deque, which Insert never moves, or
+/// into a frozen published store; it stays valid while the runner (and
+/// its published store) lives. Materialize() drops it.
+class PointResult {
+ public:
+  PointResult() = default;
+
+  /// A point whose metrics are already in its own domain.
+  PointResult(OutputMetrics metrics, bool reused, BasisId basis_id,
+              MappingPtr mapping)
+      : reused(reused),
+        basis_id(basis_id),
+        mapping(std::move(mapping)),
+        owned_(std::move(metrics)) {}
+
+  /// A point reusing basis `basis_id`, whose metrics are `basis`, through
+  /// `mapping` (basis domain -> point domain). An affine mapping keeps a
+  /// reference to `basis`, which must outlive the result (or its
+  /// Materialize call); any other mapping is applied now through
+  /// OutputMetrics::MappedBy. Nullopt when the metrics cannot be mapped
+  /// (see CanMapMetrics).
+  static std::optional<PointResult> Reusing(const OutputMetrics& basis,
+                                            BasisId basis_id,
+                                            MappingPtr mapping,
+                                            int histogram_bins);
+
+  bool reused = false;   ///< true if served from a mapped basis
+  BasisId basis_id = 0;  ///< basis that served (or was created)
+  MappingPtr mapping;    ///< mapping used (identity for new bases)
+
+  /// One characteristic of the point's metrics. On a basis reference only
+  /// that field is mapped, by AffineMappedMetric; it is bit-identical to
+  /// ExtractMetric(MappedMetrics(), selector).
+  double Metric(MetricSelector selector) const;
+
+  /// Every field of the point's metrics (a copy; on a basis reference,
+  /// the whole OutputMetrics::AffineMapped result).
+  OutputMetrics MappedMetrics() const;
+
+  /// Replaces a basis reference with owned metrics, so the result
+  /// outlives the runner and its stores. A no-op on owned metrics.
+  void Materialize();
+
+ private:
+  OutputMetrics owned_;
+  const OutputMetrics* basis_ = nullptr;  ///< set on an affine reuse
+  double alpha_ = 1.0;
+  double beta_ = 0.0;
 };
 
 class SimulationRunner {
@@ -74,12 +124,15 @@ class SimulationRunner {
 
   /// Evaluates one parameter point of `fn` (Algorithm 3 + estimator). The
   /// fingerprint goes through the runner's FingerprintMemo, so model
-  /// calls repeated across points replay their fingerprint draws.
+  /// calls repeated across points replay their fingerprint draws, into a
+  /// probe buffer the runner reuses; only a miss copies it into the new
+  /// basis. A reused point references its basis's metrics (see
+  /// PointResult) and is valid while this runner lives.
   PointResult RunPoint(const SimFunction& fn,
                        std::span<const double> params);
 
   /// Sweeps an entire parameter space; returns metrics per valuation in
-  /// row-major enumeration order.
+  /// row-major enumeration order. Every result owns its metrics.
   ///
   /// With num_threads > 1 the sweep runs as a deterministic phase
   /// pipeline that is bit-identical to the serial sweep at any thread
@@ -150,6 +203,8 @@ class SimulationRunner {
   /// Reusable sample buffer for the serial per-point path (the parallel
   /// sweep uses per-worker thread-local buffers instead).
   std::vector<double> scratch_;
+  /// RunPoint's fingerprint, refilled in place at every point.
+  Fingerprint probe_;
 };
 
 }  // namespace jigsaw

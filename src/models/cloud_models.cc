@@ -12,20 +12,18 @@ namespace jigsaw {
 
 namespace {
 
-/// The per-sample v1 stream used by every native batch kernel below.
-/// Batch kernels must reproduce the scalar Eval path bit-for-bit, so the
-/// stream derivation is identical — only the parameter-dependent
-/// arithmetic around the draws gets hoisted out of the sample loop.
-///
-/// Under seed-schema v2 each kernel instead takes the draw-plane fast
-/// path: no per-sample stream at all, whole planes of draw d filled with
-/// one Philox block per four lanes. Every plane transform is
-/// expression-identical to the RandomStream distribution it replaces, so
-/// the plane path is bit-identical to a per-lane CounterStream loop.
-inline RandomStream StreamForSigma(std::uint64_t sigma,
-                                   std::uint64_t call_site) {
-  return RandomStream(DeriveStreamSeed(sigma, call_site));
-}
+// Batch kernels must reproduce the scalar Eval path bit-for-bit. Under
+// seed-schema v1 each sample therefore starts from seeds.StreamAt(i,
+// call_site) — the derived stream, or its copy when the caller carries
+// pre-derived streams for this call site (the fingerprint memo does) —
+// and only the parameter-dependent arithmetic around the draws gets
+// hoisted out of the sample loop.
+//
+// Under seed-schema v2 each kernel instead takes the draw-plane fast
+// path: no per-sample stream at all, whole planes of draw d filled with
+// one Philox block per four lanes. Every plane transform is
+// expression-identical to the RandomStream distribution it replaces, so
+// the plane path is bit-identical to a per-lane CounterStream loop.
 
 /// Stack scratch granularity for multi-plane kernels: planes are drawn
 /// chunk-wise so scratch stays in L1 regardless of batch size.
@@ -89,7 +87,7 @@ class DemandModel : public BlackBox {
       return;
     }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = seeds.StreamAt(i, call_site);
       out[i] = rng.Normal(mean, sd);
     }
   }
@@ -160,7 +158,7 @@ class CapacityModel : public BlackBox {
       return;
     }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = seeds.StreamAt(i, call_site);
       double capacity = cfg_.base_capacity;
       const double d1 = rng.Exponential(lambda);
       if (delta1 >= 0.0 && d1 <= delta1) capacity += cfg_.purchase_volume;
@@ -239,7 +237,7 @@ class OverloadModel : public BlackBox {
       return;
     }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = seeds.StreamAt(i, call_site);
       const double demand = rng.Normal(mean, sd);
       double capacity = cfg_.base_capacity;
       const double d1 = rng.Exponential(lambda);
@@ -343,7 +341,7 @@ class UserSelectionModel : public BlackBox {
       return;
     }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = seeds.StreamAt(i, call_site);
       double total = 0.0;
       for (double base : active_bases) {
         double peak = 0.0;
@@ -424,7 +422,7 @@ class SynthBasisModel : public BlackBox {
       return;
     }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = seeds.StreamAt(i, call_site);
       const double z1 = rng.Gaussian();
       const double z2 = rng.Gaussian();
       out[i] = scale * (z1 * cos_phi + z2 * sin_phi) + offset;
@@ -475,7 +473,7 @@ class SeasonalDemandModel : public BlackBox {
       return;
     }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = seeds.StreamAt(i, call_site);
       out[i] = level + rng.Normal(0.0, sd);
     }
   }
@@ -516,15 +514,8 @@ class OutageModel : public BlackBox {
     const double week = p[0];
     const double rate =
         cfg_.failure_rate * (cfg_.base_capacity / 100.0) * (1.0 + week / 52.0);
-    if (seeds.schema() == SeedSchema::kV2) {
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        RandomStream rng = seeds.StreamAt(i, call_site);
-        out[i] = static_cast<double>(rng.Poisson(rate)) * cfg_.failure_cores;
-      }
-      return;
-    }
     for (std::size_t i = 0; i < out.size(); ++i) {
-      RandomStream rng = StreamForSigma(seeds.sigma(i), call_site);
+      RandomStream rng = seeds.StreamAt(i, call_site);
       out[i] = static_cast<double>(rng.Poisson(rate)) * cfg_.failure_cores;
     }
   }

@@ -54,12 +54,6 @@ class SeedSpan {
     return schema_ == SeedSchema::kV1 ? sigmas_.size() : count_;
   }
 
-  /// v1 only: the sample seed behind entry i.
-  std::uint64_t sigma(std::size_t i) const {
-    JIGSAW_DCHECK(schema_ == SeedSchema::kV1);
-    return sigmas_[i];
-  }
-
   /// v2 only: the absolute sample index of entry 0, and the Philox key
   /// for a call site (hoist out of per-sample loops).
   std::size_t k_begin() const { return k_begin_; }
@@ -68,10 +62,28 @@ class SeedSpan {
     return DrawKey(master_, call_site);
   }
 
+  /// v1 only: this view carrying `streams`, its entries' starting streams
+  /// at `call_site` derived ahead of time — streams[i] must equal
+  /// RandomStream(DeriveStreamSeed(sigma_i, call_site)), sigma_i being
+  /// entry i's seed. StreamAt then copies them instead of deriving; other
+  /// call sites still derive. `streams` must outlive the view.
+  SeedSpan WithStreams(std::span<const RandomStream> streams,
+                       std::uint64_t call_site) const {
+    JIGSAW_DCHECK(schema_ == SeedSchema::kV1 &&
+                  streams.size() == sigmas_.size());
+    SeedSpan out = *this;
+    out.streams_ = streams.data();
+    out.streams_site_ = call_site;
+    return out;
+  }
+
   /// The deterministic stream for entry i at `call_site` — the scalar
   /// twin every batch kernel must reproduce bit-for-bit.
   RandomStream StreamAt(std::size_t i, std::uint64_t call_site) const {
     if (schema_ == SeedSchema::kV1) {
+      if (streams_ != nullptr && call_site == streams_site_) {
+        return streams_[i];
+      }
       return RandomStream(DeriveStreamSeed(sigmas_[i], call_site));
     }
     return RandomStream(
@@ -81,6 +93,9 @@ class SeedSpan {
  private:
   SeedSchema schema_;
   std::span<const std::uint64_t> sigmas_;
+  /// v1: pre-derived streams of every entry at streams_site_, or null.
+  const RandomStream* streams_ = nullptr;
+  std::uint64_t streams_site_ = 0;
   std::uint64_t master_ = 0;
   std::size_t k_begin_ = 0;
   std::size_t count_ = 0;

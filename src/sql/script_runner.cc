@@ -200,8 +200,7 @@ Result<ScriptOutcome> ScriptRunner::RunBound(
       point.x = x;
       for (std::size_t s = 0; s < cols.size(); ++s) {
         const PointResult r = runner.RunPoint(*cols[s]->fn, valuation);
-        point.y.push_back(
-            ExtractMetric(r.metrics, bound.graph->series[s].metric));
+        point.y.push_back(r.Metric(bound.graph->series[s].metric));
       }
       data.points.push_back(std::move(point));
     }

@@ -209,7 +209,8 @@ void ExpectGridIdentical(const RunConfig& base_cfg, const SimFunction& fn,
       SCOPED_TRACE(::testing::Message() << "point " << i);
       EXPECT_EQ(got[i].reused, expected[i].reused);
       EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
-      test::ExpectMetricsBitIdentical(got[i].metrics, expected[i].metrics);
+      test::ExpectMetricsBitIdentical(got[i].MappedMetrics(),
+                                      expected[i].MappedMetrics());
     }
     EXPECT_EQ(runner.stats().points_reused,
               reference.stats().points_reused);
@@ -275,7 +276,8 @@ TEST(BatchGridTest, MissSimulationMetricsBitIdenticalAcrossBatchSizes) {
     const PointResult got = runner.RunPoint(fn, params);
     SCOPED_TRACE(::testing::Message() << "batch " << batch);
     EXPECT_FALSE(got.reused);
-    test::ExpectMetricsBitIdentical(got.metrics, expected.metrics);
+    test::ExpectMetricsBitIdentical(got.MappedMetrics(),
+                                    expected.MappedMetrics());
   }
 }
 

@@ -57,6 +57,7 @@ OutputMetrics Reference(const std::vector<double>& samples, bool keep_samples,
     return std::strong_order(a, b) < 0;  // IEEE totalOrder
   });
   if (!finite.empty()) {
+    out.p05 = QuantileSorted(finite, 0.05);
     out.p50 = QuantileSorted(finite, 0.50);
     out.p95 = QuantileSorted(finite, 0.95);
   }
@@ -317,6 +318,7 @@ TEST(ColumnSummaryTest, SelectMatchesSortBitForBit) {
     const OutputMetrics got = SummarizeColumn({&all, 1}, false, 20);
     EXPECT_EQ(Bits(got.p50), Bits(Quantile(values, 0.50))) << "n=" << n;
     EXPECT_EQ(Bits(got.p95), Bits(Quantile(values, 0.95))) << "n=" << n;
+    EXPECT_EQ(Bits(got.p05), Bits(Quantile(values, 0.05))) << "n=" << n;
   }
 }
 

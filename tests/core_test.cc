@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -22,6 +23,8 @@
 #include "core/metrics.h"
 #include "core/optimizer.h"
 #include "core/sim_function.h"
+#include "core/sim_runner.h"
+#include "grid_test_util.h"
 #include "models/cloud_models.h"
 #include "random/splitmix64.h"
 #include "util/hash.h"
@@ -401,6 +404,12 @@ TEST(MetricsTest, EstimatorComputesSummary) {
 TEST(MetricsTest, MappedMetricsEqualRecomputedMetrics) {
   // Property: mapping cached metrics == recomputing metrics on mapped
   // samples, for affine maps (this is the exactness claim behind reuse).
+  // Quantiles are compared within kQuantileUlps ulps of the mapped data's
+  // largest magnitude: alpha * interp(x) + beta rounds differently from
+  // interp(alpha * x + beta), and a reflection interpolates the p05 ranks
+  // at weights computed as 0.05 * (n - 1) rather than (n - 1) - 0.95 *
+  // (n - 1).
+  constexpr double kQuantileUlps = 4;
   SplitMix64 rng(4242);
   auto u = [&rng] {
     return static_cast<double>(rng.Next() >> 11) * 0x1.0p-53;
@@ -408,6 +417,11 @@ TEST(MetricsTest, MappedMetricsEqualRecomputedMetrics) {
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> xs(500);
     for (auto& x : xs) x = u() * 100 - 50;
+    // Right-skewed in a third of the trials, so p95 and p05 sit at
+    // different distances from the median.
+    if (trial % 3 == 1) {
+      for (auto& x : xs) x = std::exp(x / 12.5);
+    }
     const double alpha = (trial % 3 == 0 ? -1 : 1) * (u() * 5 + 0.1);
     const double beta = u() * 20 - 10;
     OutputMetrics base = MetricsFromSamples(xs, true, 10);
@@ -425,7 +439,30 @@ TEST(MetricsTest, MappedMetricsEqualRecomputedMetrics) {
     EXPECT_NEAR(mapped->min, direct.min, 1e-9 * (1 + std::fabs(direct.min)));
     EXPECT_NEAR(mapped->max, direct.max, 1e-9 * (1 + std::fabs(direct.max)));
     EXPECT_EQ(mapped->count, direct.count);
+    const double scale = std::max(std::fabs(direct.min), std::fabs(direct.max));
+    const double tol =
+        kQuantileUlps * std::numeric_limits<double>::epsilon() * scale;
+    EXPECT_NEAR(mapped->p50, direct.p50, tol) << "trial " << trial;
+    EXPECT_NEAR(mapped->p95, direct.p95, tol) << "trial " << trial;
+    EXPECT_NEAR(mapped->p05, direct.p05, tol) << "trial " << trial;
   }
+}
+
+TEST(MetricsTest, ReflectionMapsTheUpperTailFromTheLowerOne) {
+  // A right-skewed basis under M(x) = -x + 10: the mapped p95 is the
+  // reflected p05, not the reflected median.
+  std::vector<double> xs;
+  for (int i = 0; i < 100; ++i) xs.push_back(i < 80 ? i % 10 : 10.0 * i);
+  const OutputMetrics base = MetricsFromSamples(xs, false, 10);
+  const auto mapped = base.MappedBy(LinearMapping(-1, 10), 10);
+  ASSERT_TRUE(mapped.has_value());
+  std::vector<double> ys;
+  for (double x : xs) ys.push_back(10 - x);
+  const OutputMetrics direct = MetricsFromSamples(ys, false, 10);
+  EXPECT_EQ(mapped->p95, direct.p95);
+  EXPECT_DOUBLE_EQ(mapped->p05, direct.p05);
+  EXPECT_EQ(mapped->p50, direct.p50);
+  EXPECT_NE(mapped->p95, 10 - base.p50);
 }
 
 TEST(MetricsTest, MappedSamplesTransformElementwise) {
@@ -460,6 +497,95 @@ TEST(MetricsTest, ExtractMetricQuantilesOnThreeSamples) {
   EXPECT_DOUBLE_EQ(ExtractMetric(m, MetricSelector::kMedian), 20.0);
   EXPECT_DOUBLE_EQ(ExtractMetric(m, MetricSelector::kP95),
                    20.0 * 0.1 + 30.0 * 0.9);
+}
+
+/// M(x) = x^3 + 1: invertible and not affine, so metrics map only
+/// through retained samples.
+class CubeMapping final : public MappingFunction {
+ public:
+  double Apply(double x) const override { return x * x * x + 1; }
+  double Invert(double y) const override { return std::cbrt(y - 1); }
+  bool Invertible() const override { return true; }
+  std::string ToString() const override { return "M(x) = x^3 + 1"; }
+};
+
+constexpr MetricSelector kAllSelectors[] = {
+    MetricSelector::kExpect, MetricSelector::kStdDev,
+    MetricSelector::kStdError, MetricSelector::kMin,
+    MetricSelector::kMax, MetricSelector::kMedian,
+    MetricSelector::kP95};
+
+TEST(PointResultTest, OneFieldMatchesTheWholeMappingBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> sample_sets = {
+      {1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144},  // right-skewed
+      {-4, -3.5, 0, 0, 7.25, 7.5, 8, 8, 8.5},        // bimodal
+      {0, 1, 1, 0, 0, 1, 0, 0, 0, 1},                 // 0/1 indicator
+      {3.5, 3.5, 3.5},                                // constant
+      {-0.0, 0.0, -0.0, 1.0},                         // signed zeros
+      {2, -inf, 7, inf, nan, 4},                      // non-finite
+  };
+  SplitMix64 rng(77);
+  std::vector<double> wide(300);
+  for (double& x : wide) {
+    x = static_cast<double>(rng.Next() >> 11) * 0x1.0p-53 * 60.0 - 20.0;
+  }
+  sample_sets.push_back(wide);
+  const std::vector<MappingPtr> mappings = {
+      IdentityMapping::Make(),
+      std::make_shared<LinearMapping>(2.5, -3.0),
+      std::make_shared<LinearMapping>(-1.75, 10.0),
+      std::make_shared<LinearMapping>(1.0, 4.0),  // translation
+      std::make_shared<LinearMapping>(0.0, 6.0),  // constant
+  };
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t set = 0; set < sample_sets.size(); ++set) {
+    for (bool keep : {false, true}) {
+      const OutputMetrics basis = MetricsFromSamples(sample_sets[set], keep, 8);
+      for (const MappingPtr& mapping : mappings) {
+        SCOPED_TRACE(::testing::Message() << "set " << set << " keep "
+                                          << keep << " "
+                                          << mapping->ToString());
+        auto point = PointResult::Reusing(basis, 3, mapping, 8);
+        ASSERT_TRUE(point.has_value());
+        EXPECT_TRUE(point->reused);
+        EXPECT_EQ(point->basis_id, 3u);
+        const OutputMetrics whole = point->MappedMetrics();
+        test::ExpectMetricsBitIdentical(whole,
+                                        *basis.MappedBy(*mapping, 8));
+        for (MetricSelector s : kAllSelectors) {
+          EXPECT_EQ(bits(point->Metric(s)), bits(ExtractMetric(whole, s)))
+              << MetricSelectorName(s);
+        }
+        point->Materialize();
+        for (MetricSelector s : kAllSelectors) {
+          EXPECT_EQ(bits(point->Metric(s)), bits(ExtractMetric(whole, s)))
+              << MetricSelectorName(s) << " after Materialize";
+        }
+      }
+    }
+  }
+}
+
+TEST(PointResultTest, NonAffineMappingsMapRetainedSamples) {
+  const std::vector<double> xs = {0.5, -1.0, 2.0, 0.25, 3.0, -2.5};
+  const auto cube = std::make_shared<CubeMapping>();
+  EXPECT_FALSE(PointResult::Reusing(MetricsFromSamples(xs, false, 8), 0,
+                                    cube, 8)
+                   .has_value());
+  const OutputMetrics basis = MetricsFromSamples(xs, true, 8);
+  auto point = PointResult::Reusing(basis, 0, cube, 8);
+  ASSERT_TRUE(point.has_value());
+  std::vector<double> ys;
+  for (double x : xs) ys.push_back(cube->Apply(x));
+  const OutputMetrics direct = MetricsFromSamples(ys, true, 8);
+  test::ExpectMetricsBitIdentical(point->MappedMetrics(), direct);
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (MetricSelector s : kAllSelectors) {
+    EXPECT_EQ(bits(point->Metric(s)), bits(ExtractMetric(direct, s)))
+        << MetricSelectorName(s);
+  }
 }
 
 TEST(MetricsTest, AddSpanMatchesElementwiseAddBitForBit) {

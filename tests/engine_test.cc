@@ -274,11 +274,11 @@ TEST(SimRunnerTest, ReusedMetricsEqualFullSimulation) {
     const std::vector<double> params = {week, 52.0};
     const auto fast = jigsaw_runner.RunPoint(fn, params);
     const auto slow = naive_runner.RunPoint(fn, params);
-    EXPECT_NEAR(fast.metrics.mean, slow.metrics.mean,
-                1e-6 * (1 + std::fabs(slow.metrics.mean)))
+    EXPECT_NEAR(fast.MappedMetrics().mean, slow.MappedMetrics().mean,
+                1e-6 * (1 + std::fabs(slow.MappedMetrics().mean)))
         << "week " << week;
-    EXPECT_NEAR(fast.metrics.stddev, slow.metrics.stddev,
-                1e-6 * (1 + slow.metrics.stddev));
+    EXPECT_NEAR(fast.MappedMetrics().stddev, slow.MappedMetrics().stddev,
+                1e-6 * (1 + slow.MappedMetrics().stddev));
   }
   // At least one of the later weeks must have been served via reuse.
   EXPECT_GT(jigsaw_runner.stats().points_reused, 0u);
@@ -345,8 +345,8 @@ TEST(SimRunnerTest, BooleanOutputsReuseOnlyWhenIdentical) {
   const auto results = runner.RunSweep(fn, space);
   EXPECT_GT(runner.stats().points_reused, 10u);  // all-zero weeks collapse
   for (const auto& r : results) {
-    EXPECT_GE(r.metrics.mean, 0.0);
-    EXPECT_LE(r.metrics.mean, 1.0);
+    EXPECT_GE(r.MappedMetrics().mean, 0.0);
+    EXPECT_LE(r.MappedMetrics().mean, 1.0);
   }
 }
 
@@ -360,7 +360,7 @@ TEST(SimRunnerTest, KeepSamplesRetainsMappedSamples) {
   runner.RunPoint(fn, std::vector<double>{10.0, 52.0});
   const auto reused = runner.RunPoint(fn, std::vector<double>{20.0, 52.0});
   if (reused.reused) {
-    EXPECT_EQ(reused.metrics.samples.size(), 50u);
+    EXPECT_EQ(reused.MappedMetrics().samples.size(), 50u);
   }
 }
 
@@ -392,7 +392,8 @@ void ExpectSweepsIdentical(const RunConfig& base_cfg, const SimFunction& fn,
       EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
       ASSERT_NE(got[i].mapping, nullptr);
       EXPECT_EQ(got[i].mapping->ToString(), expected[i].mapping->ToString());
-      test::ExpectMetricsBitIdentical(got[i].metrics, expected[i].metrics);
+      test::ExpectMetricsBitIdentical(got[i].MappedMetrics(),
+                                      expected[i].MappedMetrics());
     }
 
     EXPECT_EQ(runner.stats().points_evaluated,

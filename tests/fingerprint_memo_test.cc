@@ -219,6 +219,102 @@ TEST(FingerprintMemoTest, CallSitesPastTheTableLimitAreEvaluatedDirectly) {
 }
 
 // ---------------------------------------------------------------------------
+// Pre-derived streams
+// ---------------------------------------------------------------------------
+
+/// Argument tuples that reach every branch of each cloud model's kernel.
+std::vector<std::vector<double>> BranchArgs(const std::string& model) {
+  if (model == "DemandModel") {
+    // After, before and at the feature release.
+    return {{20, 12}, {10, 36}, {12, 12}};
+  }
+  if (model == "CapacityModel" || model == "OverloadModel") {
+    // Both purchases settled or pending, both in the future, one each,
+    // and a zero delta.
+    return {{30, 10, 28}, {30, 40, 50}, {30, 29.5, 45}, {5, 5, 60}};
+  }
+  if (model == "UserSelectionModel") return {{0}, {26}, {52}};
+  if (model == "SynthBasisModel") return {{0}, {3}, {17}};
+  if (model == "SeasonalDemandModel" || model == "OutageModel") {
+    return {{0}, {13}, {52}};
+  }
+  ADD_FAILURE() << "no branch arguments for model " << model;
+  return {};
+}
+
+/// The starting streams of samples [0, m) of `seeds` at `site`.
+std::vector<RandomStream> StartStreams(const SeedVector& seeds,
+                                       std::size_t m, std::uint64_t site) {
+  std::vector<RandomStream> streams;
+  for (std::size_t i = 0; i < m; ++i) {
+    streams.push_back(seeds.StreamFor(i, site));
+  }
+  return streams;
+}
+
+TEST(FingerprintStreamTest, CarriedStreamsMatchDerivationForEveryModel) {
+  ModelRegistry registry;
+  ASSERT_TRUE(RegisterCloudModels(&registry).ok());
+  const SeedVector seeds(21, 16);
+  const SeedVector other(22, 16);
+  constexpr std::uint64_t kSite = 5;
+  for (const std::string& name : registry.ModelNames()) {
+    const BlackBoxPtr model = registry.Lookup(name).value();
+    for (std::size_t m : {2u, 10u}) {
+      for (const std::vector<double>& args : BranchArgs(name)) {
+        SCOPED_TRACE(::testing::Message() << name << " m=" << m);
+        const std::vector<RandomStream> own = StartStreams(seeds, m, kSite);
+        std::vector<double> carried(m);
+        model->EvalBatch(args, seeds.span(0, m).WithStreams(own, kSite),
+                         kSite, carried);
+        ExpectBitIdentical(carried, Direct(*model, seeds, m, args, kSite));
+        // The kernel draws from the carried streams: another vector's
+        // streams give that vector's draws.
+        const std::vector<RandomStream> foreign =
+            StartStreams(other, m, kSite);
+        model->EvalBatch(args, seeds.span(0, m).WithStreams(foreign, kSite),
+                         kSite, carried);
+        ExpectBitIdentical(carried, Direct(*model, other, m, args, kSite));
+      }
+    }
+  }
+}
+
+TEST(FingerprintStreamTest, StreamsOfAnotherCallSiteFallBackToDerivation) {
+  ModelRegistry registry;
+  ASSERT_TRUE(RegisterCloudModels(&registry).ok());
+  const SeedVector seeds(21, 10);
+  const SeedVector other(22, 10);
+  // Streams carried for site 5 (from another vector, so a wrongly used
+  // copy would show) while the model draws at site 6.
+  const std::vector<RandomStream> site5 = StartStreams(other, 10, 5);
+  for (const std::string& name : registry.ModelNames()) {
+    SCOPED_TRACE(name);
+    const BlackBoxPtr model = registry.Lookup(name).value();
+    const std::vector<double> args = BranchArgs(name).front();
+    std::vector<double> out(10);
+    model->EvalBatch(args, seeds.span(0, 10).WithStreams(site5, 5), 6, out);
+    ExpectBitIdentical(out, Direct(*model, seeds, 10, args, 6));
+  }
+}
+
+TEST(FingerprintStreamTest, OnlySchemaV1TablesDeriveStreams) {
+  const BlackBoxPtr demand = MakeDemandModel();
+  const std::vector<double> args = {20, 12};
+  for (SeedSchema schema : {SeedSchema::kV1, SeedSchema::kV2}) {
+    const SeedVector seeds(9, 10, schema);
+    FingerprintMemo memo(seeds, 10);
+    std::vector<double> out(10);
+    for (std::uint64_t site = 1; site <= 3; ++site) {
+      memo.Eval(demand, args, site, out);
+      ExpectBitIdentical(out, Direct(*demand, seeds, 10, args, site));
+    }
+    EXPECT_EQ(memo.tables_with_streams(),
+              schema == SeedSchema::kV1 ? 3u : 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Through the compiled program and the runner
 // ---------------------------------------------------------------------------
 
@@ -261,8 +357,8 @@ TEST_F(FingerprintMemoSqlTest, SameModelTwiceInOneColumnKeepsBothSites) {
           with_memo.RunPoint(*compiled.scenario.columns[0].fn, params);
       const PointResult b =
           reference.RunPoint(*interpreted.scenario.columns[0].fn, params);
-      test::ExpectMetricsBitIdentical(a.metrics, b.metrics);
-      EXPECT_GT(a.metrics.stddev, 0.0);
+      test::ExpectMetricsBitIdentical(a.MappedMetrics(), b.MappedMetrics());
+      EXPECT_GT(a.MappedMetrics().stddev, 0.0);
     }
   }
   // Round two replays both sites at every point.
@@ -288,9 +384,11 @@ TEST_F(FingerprintMemoSqlTest, RunnersWithDifferentSeedsNeverShareEntries) {
       const std::vector<double> params = {w};
       const PointResult ra = a.RunPoint(fn, params);
       const PointResult rb = b.RunPoint(fn, params);
-      test::ExpectMetricsBitIdentical(rb.metrics,
-                                      alone.RunPoint(fn, params).metrics);
-      EXPECT_NE(Bits(ra.metrics.mean), Bits(rb.metrics.mean));
+      const PointResult ralone = alone.RunPoint(fn, params);
+      test::ExpectMetricsBitIdentical(rb.MappedMetrics(),
+                                      ralone.MappedMetrics());
+      EXPECT_NE(Bits(ra.Metric(MetricSelector::kExpect)),
+                Bits(rb.Metric(MetricSelector::kExpect)));
     }
   }
   EXPECT_EQ(b.stats().fingerprint_memo_hits,

@@ -120,6 +120,7 @@ inline void ExpectMetricsBitIdentical(const OutputMetrics& a,
   EXPECT_EQ(bits(a.max), bits(b.max)) << a.max << " vs " << b.max;
   EXPECT_EQ(bits(a.p50), bits(b.p50)) << a.p50 << " vs " << b.p50;
   EXPECT_EQ(bits(a.p95), bits(b.p95)) << a.p95 << " vs " << b.p95;
+  EXPECT_EQ(bits(a.p05), bits(b.p05)) << a.p05 << " vs " << b.p05;
   ASSERT_EQ(a.histogram.has_value(), b.histogram.has_value());
   if (a.histogram) {
     const Histogram& ha = *a.histogram;

@@ -91,8 +91,8 @@ TEST(IntegrationTest, DemandSweepMetricsMatchNaivePointwise) {
   const auto slow_results = slow.RunSweep(fn, space);
   ASSERT_EQ(fast_results.size(), slow_results.size());
   for (std::size_t i = 0; i < fast_results.size(); ++i) {
-    const auto& fm = fast_results[i].metrics;
-    const auto& sm = slow_results[i].metrics;
+    const auto& fm = fast_results[i].MappedMetrics();
+    const auto& sm = slow_results[i].MappedMetrics();
     EXPECT_NEAR(fm.mean, sm.mean, 1e-7 * (1 + std::fabs(sm.mean)))
         << "point " << i;
     EXPECT_NEAR(fm.stddev, sm.stddev, 1e-7 * (1 + sm.stddev)) << i;
@@ -140,8 +140,8 @@ TEST(IntegrationTest, SeedReuseDoesNotBiasComparisons) {
 
   for (double week : {10.0, 30.0}) {
     const std::vector<double> params = {week, 52.0};
-    const double a = shared.RunPoint(fn, params).metrics.mean;
-    const double b = fresh.RunPoint(fn, params).metrics.mean;
+    const double a = shared.RunPoint(fn, params).MappedMetrics().mean;
+    const double b = fresh.RunPoint(fn, params).MappedMetrics().mean;
     // Both are Monte Carlo estimates of mean = week.
     EXPECT_NEAR(a, week, 0.25);
     EXPECT_NEAR(b, week, 0.25);

@@ -47,9 +47,10 @@ TEST_P(IndexEquivalenceTest, SweepResultsIdenticalToArrayOracle) {
 
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_DOUBLE_EQ(actual[i].metrics.mean, expected[i].metrics.mean)
-        << "point " << i;
-    EXPECT_DOUBLE_EQ(actual[i].metrics.stddev, expected[i].metrics.stddev);
+    const OutputMetrics got = actual[i].MappedMetrics();
+    const OutputMetrics want = expected[i].MappedMetrics();
+    EXPECT_DOUBLE_EQ(got.mean, want.mean) << "point " << i;
+    EXPECT_DOUBLE_EQ(got.stddev, want.stddev);
     EXPECT_EQ(actual[i].reused, expected[i].reused) << "point " << i;
   }
   EXPECT_EQ(runner.basis_store().size(), oracle.basis_store().size());
@@ -162,16 +163,16 @@ TEST_P(PoisonTest, NaNAndInfPointsAreIsolated) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const double week = 10.0 + static_cast<double>(i);
     if (week == 13.0) {
-      EXPECT_TRUE(std::isnan(results[i].metrics.mean));
+      EXPECT_TRUE(std::isnan(results[i].MappedMetrics().mean));
       EXPECT_FALSE(results[i].reused);  // NaN never maps
     } else if (week == 17.0) {
       // Welford over all-infinite samples degrades to NaN (inf - inf);
       // either way the poison must stay visible, never a finite number.
-      EXPECT_FALSE(std::isfinite(results[i].metrics.mean));
+      EXPECT_FALSE(std::isfinite(results[i].MappedMetrics().mean));
     } else {
       // Healthy points are unaffected by their poisoned neighbors.
-      EXPECT_TRUE(std::isfinite(results[i].metrics.mean));
-      EXPECT_NEAR(results[i].metrics.mean, week, 2.0);
+      EXPECT_TRUE(std::isfinite(results[i].MappedMetrics().mean));
+      EXPECT_NEAR(results[i].MappedMetrics().mean, week, 2.0);
     }
   }
 }
@@ -201,7 +202,7 @@ TEST(DeterminismTest, RepeatedRunsAreBitIdentical) {
   const auto a = r1.RunSweep(fn, space);
   const auto b = r2.RunSweep(fn, space);
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].metrics.mean, b[i].metrics.mean);
+    EXPECT_EQ(a[i].MappedMetrics().mean, b[i].MappedMetrics().mean);
     EXPECT_EQ(a[i].reused, b[i].reused);
     EXPECT_EQ(a[i].basis_id, b[i].basis_id);
   }
@@ -245,10 +246,11 @@ TEST(DeterminismTest, MasterSeedChangesResultsButNotDecisionsShape) {
   const auto b = r2.RunSweep(fn, space);
   bool any_difference = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].metrics.mean != b[i].metrics.mean) any_difference = true;
+    const OutputMetrics ma = a[i].MappedMetrics();
+    const OutputMetrics mb = b[i].MappedMetrics();
+    if (ma.mean != mb.mean) any_difference = true;
     // Both unbiased estimates of the same expectation.
-    EXPECT_NEAR(a[i].metrics.mean, b[i].metrics.mean,
-                8 * (a[i].metrics.std_error + b[i].metrics.std_error));
+    EXPECT_NEAR(ma.mean, mb.mean, 8 * (ma.std_error + mb.std_error));
   }
   EXPECT_TRUE(any_difference);  // different seeds, different samples
   // Structure (one basis for the whole demand sweep) is seed-independent.

@@ -156,6 +156,34 @@ TEST(SeedVectorDeterminismTest, SeedSpanBoundsIncludeFullAndEmptyViews) {
   EXPECT_EQ(seeds.seed_span(15, 1).front(), seeds.seed(15));
 }
 
+TEST(SeedVectorDeterminismTest, CarriedStreamsServeOnlyTheirCallSite) {
+  // A span carrying pre-derived streams hands out copies of them at their
+  // own call site and derives at every other one. The streams here come
+  // from another master seed, so a copy is told apart from a derivation.
+  constexpr std::size_t kSamples = 6;
+  const SeedVector seeds(kSeed, kSamples);
+  const SeedVector other(kSeed + 1, kSamples);
+  std::vector<RandomStream> streams;
+  for (std::size_t k = 0; k < kSamples; ++k) {
+    streams.push_back(other.StreamFor(k, 3));
+  }
+  const SeedSpan carrying = seeds.span(0, kSamples).WithStreams(streams, 3);
+  for (std::size_t k = 0; k < kSamples; ++k) {
+    RandomStream copied = carrying.StreamAt(k, 3);
+    RandomStream want_copied = other.StreamFor(k, 3);
+    EXPECT_EQ(copied.NextUint64(), want_copied.NextUint64()) << "k=" << k;
+    RandomStream derived = carrying.StreamAt(k, 4);
+    RandomStream want_derived = seeds.StreamFor(k, 4);
+    EXPECT_EQ(derived.NextUint64(), want_derived.NextUint64()) << "k=" << k;
+  }
+  // Drawing from a copy leaves the carried stream at its start.
+  RandomStream first = carrying.StreamAt(0, 3);
+  first.NextUint64();
+  RandomStream again = carrying.StreamAt(0, 3);
+  RandomStream start = other.StreamFor(0, 3);
+  EXPECT_EQ(again.NextUint64(), start.NextUint64());
+}
+
 // ---------------------------------------------------------------------------
 // Scheduling independence
 // ---------------------------------------------------------------------------

@@ -161,7 +161,8 @@ void ExpectV2GridIdentical(const RunConfig& base_cfg, const SimFunction& fn,
       SCOPED_TRACE(::testing::Message() << "point " << i);
       EXPECT_EQ(got[i].reused, expected[i].reused);
       EXPECT_EQ(got[i].basis_id, expected[i].basis_id);
-      test::ExpectMetricsBitIdentical(got[i].metrics, expected[i].metrics);
+      test::ExpectMetricsBitIdentical(got[i].MappedMetrics(),
+                                      expected[i].MappedMetrics());
     }
     EXPECT_EQ(runner.stats().points_reused,
               reference.stats().points_reused);
@@ -429,10 +430,12 @@ TEST(SeedSchemaCanaryTest, V1AndV2SweepsDiverge) {
   SimulationRunner v1(v1_cfg), v2(v2_cfg);
   const auto a = v1.RunPoint(fn, params);
   const auto b = v2.RunPoint(fn, params);
-  ASSERT_EQ(a.metrics.samples.size(), b.metrics.samples.size());
+  const std::vector<double> sa = a.MappedMetrics().samples;
+  const std::vector<double> sb = b.MappedMetrics().samples;
+  ASSERT_EQ(sa.size(), sb.size());
   int equal = 0;
-  for (std::size_t i = 0; i < a.metrics.samples.size(); ++i) {
-    equal += (Bits(a.metrics.samples[i]) == Bits(b.metrics.samples[i]));
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    equal += (Bits(sa[i]) == Bits(sb[i]));
   }
   EXPECT_EQ(equal, 0) << "schemas must not share draws";
 }

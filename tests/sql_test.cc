@@ -409,6 +409,53 @@ TEST_F(BinderTest, ScriptRunnerExecutesFigure1Optimize) {
   EXPECT_NE(o.Report().find("points evaluated"), std::string::npos);
 }
 
+TEST_F(BinderTest, OptimizeOverP95MatchesTheNaiveRun) {
+  // x = @s * demand + @k. Every point's fingerprint maps from the first
+  // basis, the @s = -1 points through a reflection (alpha < 0), so their
+  // P95 is the basis's p05 reflected. Demand at week 1 has p05 ~ 0.48 and
+  // p50 ~ 1, so with @s = -1 the constraint holds for @k <= 3 and fails
+  // for @k = 4 (4 - 0.48 > 3.3); a reflected median (4 - 1 < 3.3) would
+  // pass it.
+  const char* kScript = R"(
+DECLARE PARAMETER @w AS RANGE 1 TO 8 STEP BY 1;
+DECLARE PARAMETER @s AS SET (1, -1);
+DECLARE PARAMETER @k AS RANGE 0 TO 4 STEP BY 1;
+SELECT @s * DemandModel(@w, 52) + @k AS x INTO r;
+OPTIMIZE SELECT @s, @k FROM r
+WHERE MAX(P95 x) < 3.3
+GROUP BY s, k
+FOR MAX @k
+)";
+  auto run = [&](bool fingerprints) {
+    RunConfig cfg;
+    cfg.num_samples = 400;
+    cfg.use_fingerprints = fingerprints;
+    ScriptRunner runner(&registry_, cfg);
+    auto outcome = runner.Run(kScript);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    return outcome.ok() ? std::move(outcome.value()) : ScriptOutcome{};
+  };
+  const ScriptOutcome jigsaw = run(true);
+  const ScriptOutcome naive = run(false);
+  ASSERT_TRUE(jigsaw.optimize.has_value() && naive.optimize.has_value());
+  EXPECT_EQ(jigsaw.basis_count, 1u);
+  EXPECT_EQ(jigsaw.runner_stats.points_reused, 2u * 5u * 8u - 1u);
+  const OptimizeResult& a = *jigsaw.optimize;
+  const OptimizeResult& b = *naive.optimize;
+  ASSERT_EQ(a.groups.size(), b.groups.size());
+  for (std::size_t g = 0; g < a.groups.size(); ++g) {
+    SCOPED_TRACE(::testing::Message() << "group " << g);
+    EXPECT_EQ(a.groups[g].group_valuation, b.groups[g].group_valuation);
+    const double lhs = b.groups[g].constraint_lhs[0];
+    EXPECT_NEAR(a.groups[g].constraint_lhs[0], lhs,
+                1e-9 * (1 + std::fabs(lhs)));
+    EXPECT_EQ(a.groups[g].feasible, b.groups[g].feasible);
+  }
+  ASSERT_TRUE(a.found);
+  EXPECT_EQ(a.best_valuation, b.best_valuation);
+  EXPECT_EQ(a.best_valuation, (std::vector<double>{-1, 3}));
+}
+
 TEST_F(BinderTest, ScriptRunnerProducesGraphData) {
   const char* kGraph = R"(
 DECLARE PARAMETER @current_week AS RANGE 0 TO 20 STEP BY 1;

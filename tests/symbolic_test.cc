@@ -122,7 +122,7 @@ TEST(SymbolicTest, FromPointMatchesRunnerMetrics) {
   const auto reused = runner.RunPoint(fn, std::vector<double>{30.0, 52.0});
   auto sym = SymbolicVar::FromPoint(runner.basis_store(), reused);
   ASSERT_TRUE(sym.ok()) << sym.status().ToString();
-  const OutputMetrics direct = reused.metrics;
+  const OutputMetrics direct = reused.MappedMetrics();
   const OutputMetrics symbolic = sym.value().Metrics(false, 20);
   EXPECT_NEAR(symbolic.mean, direct.mean, 1e-9 * (1 + std::fabs(direct.mean)));
   EXPECT_NEAR(symbolic.stddev, direct.stddev, 1e-9 * (1 + direct.stddev));
@@ -191,8 +191,10 @@ TEST(ParallelRunnerTest, ThreadCountDoesNotChangeResults) {
   const auto b = parallel.RunSweep(fn, space);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].metrics.mean, b[i].metrics.mean) << "point " << i;
-    EXPECT_DOUBLE_EQ(a[i].metrics.stddev, b[i].metrics.stddev);
+    const OutputMetrics ma = a[i].MappedMetrics();
+    const OutputMetrics mb = b[i].MappedMetrics();
+    EXPECT_DOUBLE_EQ(ma.mean, mb.mean) << "point " << i;
+    EXPECT_DOUBLE_EQ(ma.stddev, mb.stddev);
     EXPECT_EQ(a[i].reused, b[i].reused);
     EXPECT_EQ(a[i].basis_id, b[i].basis_id);
   }
@@ -209,8 +211,8 @@ TEST(ParallelRunnerTest, NaiveModeAlsoDeterministic) {
   cfg.num_threads = 1;
   SimulationRunner serial(cfg);
   const std::vector<double> params = {15.0, 52.0};
-  EXPECT_DOUBLE_EQ(parallel.RunPoint(fn, params).metrics.mean,
-                   serial.RunPoint(fn, params).metrics.mean);
+  EXPECT_DOUBLE_EQ(parallel.RunPoint(fn, params).MappedMetrics().mean,
+                   serial.RunPoint(fn, params).MappedMetrics().mean);
 }
 
 }  // namespace
